@@ -5,7 +5,8 @@ semistable degenerations, certifies their singularity types (A1 nodes, T1
 points of reducible fibres), verifies the local smoothing and intersection
 identities of the underlying degeneration picture, and checks regularity of
 node sets via independence of point conditions.  All arithmetic is exact
-over the rationals; prime-field mirrors exist only as pre-filters.
+over the rationals; the one prime-field value, a rank modulo a word-size
+prime, is reported as a cross-check and never certifies anything.
 """
 
 __version__ = "0.1.0"
@@ -41,8 +42,8 @@ from .errors import (
     PointNotOnSurface,
     ToolkitError,
 )
-from .groebner import GroebnerResult, groebner_basis, groebner_basis_mod, normal_form
-from .linalg import RatMatrix, minor_rank
+from .groebner import GroebnerResult, groebner_basis
+from .linalg import RatMatrix
 from .polynomials import MultiPoly, poly
 from .severi import (
     ConditionMatrix,
@@ -105,15 +106,12 @@ __all__ = [
     "exclude_extra_singularities",
     "general_lines",
     "groebner_basis",
-    "groebner_basis_mod",
     "heuristic_floor",
     "hessian_limit_check",
     "independence_rank",
     "linear_system_dim",
     "max_regular_delta",
     "minimal_effective_multiplicity",
-    "minor_rank",
-    "normal_form",
     "poly",
     "restricted_dim_oracle",
     "t1_codimension",

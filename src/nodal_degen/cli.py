@@ -72,7 +72,7 @@ class RunManifest:
             "arguments": self.arguments,
             "seed": self.seed,
             "version": self.version,
-            "wall_time_ms": int((time.time() - self.started) * 1000),
+            "wall_time_ms": int((time.perf_counter() - self.started) * 1000),
             "verdict": verdict,
         }
 
@@ -325,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         arguments=argv,
         seed=getattr(args, "seed", None),
         version=__version__,
-        started=time.time(),
+        started=time.perf_counter(),
     )
     try:
         if args.command == "construct":

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DataFormatError, GenericityError, GluingError
-from .groebner import default_degree_cap
 from .linalg import RatMatrix
 from .polynomials import MultiPoly, format_rational, monomials_of_degree, parse_rational
 from .severi import (
@@ -113,16 +112,7 @@ def general_lines(
     """
     if k < 2:
         raise ValueError("need at least 2 lines")
-    rng = random.Random(seed)
-    for _ in range(retries):
-        lines = [_draw_line(rng) for _ in range(k)]
-        try:
-            return LineArrangement.from_lines(lines)
-        except ValueError:
-            continue
-    raise GenericityError(
-        f"could not draw {k} general lines (seed {seed}, budget {retries})"
-    )
+    return _draw_arrangement(random.Random(seed), k, retries)
 
 
 def _draw_line(rng: random.Random) -> MultiPoly:
@@ -473,10 +463,7 @@ def certify_witness(
     )
 
     for name, chart_eq in (("S_A chart", spec.g_a), ("S_B chart", spec.g_b)):
-        cap = degree_cap
-        if cap is None:
-            cap = default_degree_cap([chart_eq, *chart_eq.gradient()])
-        exclusion = exclude_extra_singularities(chart_eq, [], degree_cap=cap)
+        exclusion = exclude_extra_singularities(chart_eq, [], degree_cap=degree_cap)
         if exclusion.status != CERTIFIED:
             stages.append(
                 StageResult(

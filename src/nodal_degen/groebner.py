@@ -5,6 +5,7 @@ positive leading coefficient), with pseudo-division and periodic joint
 content stripping to keep coefficients small; the reduced basis is returned
 monic over the rationals.  Pair bookkeeping uses the Gebauer-Moeller
 elimination criteria with the normal (minimal lcm) selection strategy.
+There is no prime-field variant: every basis is computed exactly over Q.
 
 A run is *inconclusive* when some surviving critical pair has an lcm degree
 above the cap: the returned polynomials then still generate a subideal
@@ -19,7 +20,6 @@ from math import gcd
 from typing import Sequence
 
 from .errors import ArityError
-from .linalg import ModularUnusable, prefilter_prime
 from .polynomials import Monomial, MultiPoly, grlex_key
 
 try:  # exact big-integer backend; plain int is a correct (slower) fallback
@@ -29,7 +29,7 @@ except ImportError:  # pragma: no cover
     _zint = int
     _zgcd = gcd
 
-_IntPoly = dict  # Monomial -> integer (or residue mod p)
+_IntPoly = dict  # Monomial -> integer
 
 
 def _zcontent(values) -> int:
@@ -61,175 +61,98 @@ def _lead(f: _IntPoly) -> Monomial:
     return max(f, key=grlex_key)
 
 
-class _ZZRing:
-    """Primitive-integer coefficient arithmetic (fraction-free over Q)."""
+def _from_multipoly(p: MultiPoly) -> _IntPoly:
+    if p.is_zero():
+        return {}
+    mult = 1
+    for _, c in p.terms():
+        mult = mult * c.denominator // gcd(mult, c.denominator)
+    f = {e: _zint(int(c * mult)) for e, c in p.terms()}
+    return _normalize(f)
 
-    @staticmethod
-    def from_multipoly(p: MultiPoly) -> _IntPoly:
-        if p.is_zero():
-            return {}
-        mult = 1
-        for _, c in p.terms():
-            mult = mult * c.denominator // gcd(mult, c.denominator)
-        f = {e: _zint(int(c * mult)) for e, c in p.terms()}
-        return _ZZRing.normalize(f)
 
-    @staticmethod
-    def to_multipoly(f: _IntPoly, arity: int) -> MultiPoly:
-        if not f:
-            return MultiPoly.zero(arity)
-        lc = int(f[_lead(f)])
-        return MultiPoly(arity, {e: Fraction(int(c), lc) for e, c in f.items()})
+def _to_multipoly(f: _IntPoly, arity: int) -> MultiPoly:
+    if not f:
+        return MultiPoly.zero(arity)
+    lc = int(f[_lead(f)])
+    return MultiPoly(arity, {e: Fraction(int(c), lc) for e, c in f.items()})
 
-    @staticmethod
-    def normalize(f: _IntPoly) -> _IntPoly:
-        if not f:
-            return f
-        g = _zcontent(f.values())
-        if f[_lead(f)] < 0:
-            g = -g
-        if g != 1:
-            f = {e: c // g for e, c in f.items()}
+
+def _normalize(f: _IntPoly) -> _IntPoly:
+    if not f:
         return f
+    g = _zcontent(f.values())
+    if f[_lead(f)] < 0:
+        g = -g
+    if g != 1:
+        f = {e: c // g for e, c in f.items()}
+    return f
 
-    @staticmethod
-    def spoly(f: _IntPoly, g: _IntPoly) -> _IntPoly:
-        lf, lg = _lead(f), _lead(g)
-        cf, cg = f[lf], g[lg]
-        k = _zgcd(cf, cg)
-        mf, mg = cg // k, cf // k
-        big = _mlcm(lf, lg)
-        sf, sg = _msub(big, lf), _msub(big, lg)
-        res: _IntPoly = {}
-        for e, c in f.items():
-            res[_madd(e, sf)] = mf * c
-        for e, c in g.items():
-            e2 = _madd(e, sg)
-            v = res.get(e2, 0) - mg * c
-            if v:
-                res[e2] = v
-            else:
-                res.pop(e2, None)
-        return _ZZRing.normalize(res)
 
-    @staticmethod
-    def reduce(f: _IntPoly, basis: Sequence[tuple[Monomial, int, _IntPoly]]) -> _IntPoly:
-        """Full pseudo-remainder of f modulo the basis (primitive output)."""
-        work = dict(f)
-        rem: _IntPoly = {}
-        steps = 0
-        while work:
-            m = max(work, key=grlex_key)
-            c = work.pop(m)
-            hit = None
-            for lm, lc, g in basis:
-                if _divides(lm, m):
-                    hit = (lm, lc, g)
-                    break
-            if hit is None:
-                rem[m] = c
+def _spoly(f: _IntPoly, g: _IntPoly) -> _IntPoly:
+    lf, lg = _lead(f), _lead(g)
+    cf, cg = f[lf], g[lg]
+    k = _zgcd(cf, cg)
+    mf, mg = cg // k, cf // k
+    big = _mlcm(lf, lg)
+    sf, sg = _msub(big, lf), _msub(big, lg)
+    res: _IntPoly = {}
+    for e, c in f.items():
+        res[_madd(e, sf)] = mf * c
+    for e, c in g.items():
+        e2 = _madd(e, sg)
+        v = res.get(e2, 0) - mg * c
+        if v:
+            res[e2] = v
+        else:
+            res.pop(e2, None)
+    return _normalize(res)
+
+
+def _reduce(f: _IntPoly, basis: Sequence[tuple[Monomial, int, _IntPoly]]) -> _IntPoly:
+    """Full pseudo-remainder of f modulo the basis (primitive output)."""
+    work = dict(f)
+    rem: _IntPoly = {}
+    steps = 0
+    while work:
+        m = max(work, key=grlex_key)
+        c = work.pop(m)
+        hit = None
+        for lm, lc, g in basis:
+            if _divides(lm, m):
+                hit = (lm, lc, g)
+                break
+        if hit is None:
+            rem[m] = c
+            continue
+        lm, lc, g = hit
+        k = _zgcd(c, lc)
+        mult = lc // k
+        quot = c // k
+        if mult != 1:
+            for e in work:
+                work[e] *= mult
+            for e in rem:
+                rem[e] *= mult
+        shift = _msub(m, lm)
+        for e, gc in g.items():
+            if e == lm:
                 continue
-            lm, lc, g = hit
-            k = _zgcd(c, lc)
-            mult = lc // k
-            quot = c // k
-            if mult != 1:
+            e2 = _madd(e, shift)
+            v = work.get(e2, 0) - quot * gc
+            if v:
+                work[e2] = v
+            else:
+                work.pop(e2, None)
+        steps += 1
+        if steps % 8 == 0 and (work or rem):
+            joint = _zcontent(list(work.values()) + list(rem.values()))
+            if joint > 1:
                 for e in work:
-                    work[e] *= mult
+                    work[e] //= joint
                 for e in rem:
-                    rem[e] *= mult
-            shift = _msub(m, lm)
-            for e, gc in g.items():
-                if e == lm:
-                    continue
-                e2 = _madd(e, shift)
-                v = work.get(e2, 0) - quot * gc
-                if v:
-                    work[e2] = v
-                else:
-                    work.pop(e2, None)
-            steps += 1
-            if steps % 8 == 0 and (work or rem):
-                joint = _zcontent(list(work.values()) + list(rem.values()))
-                if joint > 1:
-                    for e in work:
-                        work[e] //= joint
-                    for e in rem:
-                        rem[e] //= joint
-        return _ZZRing.normalize(rem)
-
-
-class _FpRing:
-    """Monic coefficient arithmetic over the prime field F_p."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def from_multipoly(self, q: MultiPoly) -> _IntPoly:
-        p = self.p
-        f: _IntPoly = {}
-        for e, c in q.terms():
-            den = c.denominator % p
-            if den == 0:
-                raise ModularUnusable(f"denominator divisible by {p}")
-            v = (c.numerator % p) * pow(den, -1, p) % p
-            if v:
-                f[e] = v
-        return self.normalize(f)
-
-    def to_multipoly(self, f: _IntPoly, arity: int) -> MultiPoly:
-        return MultiPoly(arity, {e: Fraction(c) for e, c in f.items()})
-
-    def normalize(self, f: _IntPoly) -> _IntPoly:
-        if not f:
-            return f
-        inv = pow(f[_lead(f)], -1, self.p)
-        return {e: c * inv % self.p for e, c in f.items()}
-
-    def spoly(self, f: _IntPoly, g: _IntPoly) -> _IntPoly:
-        lf, lg = _lead(f), _lead(g)
-        big = _mlcm(lf, lg)
-        sf, sg = _msub(big, lf), _msub(big, lg)
-        p = self.p
-        res: _IntPoly = {}
-        for e, c in f.items():
-            res[_madd(e, sf)] = c
-        for e, c in g.items():
-            e2 = _madd(e, sg)
-            v = (res.get(e2, 0) - c) % p
-            if v:
-                res[e2] = v
-            else:
-                res.pop(e2, None)
-        return res
-
-    def reduce(self, f: _IntPoly, basis) -> _IntPoly:
-        p = self.p
-        work = dict(f)
-        rem: _IntPoly = {}
-        while work:
-            m = max(work, key=grlex_key)
-            c = work.pop(m)
-            hit = None
-            for lm, _, g in basis:
-                if _divides(lm, m):
-                    hit = (lm, g)
-                    break
-            if hit is None:
-                rem[m] = c
-                continue
-            lm, g = hit
-            shift = _msub(m, lm)
-            for e, gc in g.items():
-                if e == lm:
-                    continue
-                e2 = _madd(e, shift)
-                v = (work.get(e2, 0) - c * gc) % p
-                if v:
-                    work[e2] = v
-                else:
-                    work.pop(e2, None)
-        return self.normalize(rem)
+                    rem[e] //= joint
+    return _normalize(rem)
 
 
 @dataclass(frozen=True)
@@ -252,7 +175,7 @@ def default_degree_cap(gens: Sequence[MultiPoly]) -> int:
     return 2 * max(degs, default=0) + 4
 
 
-def _gm_update(G, lms, pairs, f, ring):
+def _gm_update(G, lms, pairs, f):
     """Gebauer-Moeller pair update when f joins the basis."""
     lmf = _lead(f)
     kept = set()
@@ -281,7 +204,7 @@ def _gm_update(G, lms, pairs, f, ring):
     return kept
 
 
-def _run_buchberger(int_gens: list[_IntPoly], ring, degree_cap: int):
+def _run_buchberger(int_gens: list[_IntPoly], degree_cap: int):
     """Core loop; returns (basis_dicts, status)."""
 
     def basis_view(G):
@@ -293,7 +216,7 @@ def _run_buchberger(int_gens: list[_IntPoly], ring, degree_cap: int):
     gens = []
     for f in sorted(int_gens, key=lambda f: grlex_key(_lead(f))):
         if gens:
-            f = ring.reduce(f, basis_view(gens))
+            f = _reduce(f, basis_view(gens))
         if f:
             gens.append(f)
 
@@ -303,7 +226,7 @@ def _run_buchberger(int_gens: list[_IntPoly], ring, degree_cap: int):
     for f in gens:
         if sum(_lead(f)) == 0:
             return [f], "ok"  # unit ideal
-        pairs = _gm_update(G, lms, pairs, f, ring)
+        pairs = _gm_update(G, lms, pairs, f)
 
     while True:
         eligible = [
@@ -315,15 +238,15 @@ def _run_buchberger(int_gens: list[_IntPoly], ring, degree_cap: int):
             break
         _, (i, j) = min(eligible)
         pairs.discard((i, j))
-        s = ring.spoly(G[i], G[j])
+        s = _spoly(G[i], G[j])
         if not s:
             continue
-        r = ring.reduce(s, basis_view(G))
+        r = _reduce(s, basis_view(G))
         if not r:
             continue
         if sum(_lead(r)) == 0:
             return [r], "ok"
-        pairs = _gm_update(G, lms, pairs, r, ring)
+        pairs = _gm_update(G, lms, pairs, r)
 
     status = "ok" if not pairs else "inconclusive"
 
@@ -335,7 +258,7 @@ def _run_buchberger(int_gens: list[_IntPoly], ring, degree_cap: int):
     reduced: list[_IntPoly] = []
     for idx, f in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        r = ring.reduce(f, basis_view(others)) if others else f
+        r = _reduce(f, basis_view(others)) if others else f
         if r:
             reduced.append(r)
     reduced.sort(key=lambda f: grlex_key(_lead(f)), reverse=True)
@@ -364,70 +287,6 @@ def groebner_basis(
         raise ValueError(
             f"degree_cap {degree_cap} below maximal generator degree {max_deg}"
         )
-    int_gens = [_ZZRing.from_multipoly(g) for g in gens]
-    basis, status = _run_buchberger(int_gens, _ZZRing, degree_cap)
-    out = tuple(_ZZRing.to_multipoly(f, arity) for f in basis)
+    basis, status = _run_buchberger([_from_multipoly(g) for g in gens], degree_cap)
+    out = tuple(_to_multipoly(f, arity) for f in basis)
     return GroebnerResult(status, out, degree_cap)
-
-
-def groebner_basis_mod(
-    gens: Sequence[MultiPoly], p: int | None = None, degree_cap: int | None = None
-) -> GroebnerResult:
-    """Prime-field mirror of :func:`groebner_basis` (pre-filter only).
-
-    Results over F_p are never certificates: the rational run is authoritative.
-    """
-    p = p or prefilter_prime()
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return GroebnerResult("ok", (), degree_cap or 4)
-    arity = gens[0].arity
-    if degree_cap is None:
-        degree_cap = default_degree_cap(gens)
-    ring = _FpRing(p)
-    int_gens = [f for f in (ring.from_multipoly(g) for g in gens) if f]
-    basis, status = _run_buchberger(int_gens, ring, degree_cap)
-    out = tuple(ring.to_multipoly(f, arity) for f in basis)
-    return GroebnerResult(status, out, degree_cap)
-
-
-def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """S-polynomial over the rationals (for tests and postcondition checks)."""
-    if f.is_zero() or g.is_zero():
-        return MultiPoly.zero(f.arity)
-    (lf, cf), (lg, cg) = f.leading(), g.leading()
-    big = _mlcm(lf, lg)
-    mf = MultiPoly(f.arity, {_msub(big, lf): Fraction(1) / cf})
-    mg = MultiPoly(g.arity, {_msub(big, lg): Fraction(1) / cg})
-    return mf * f - mg * g
-
-
-def normal_form(p: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
-    """Full remainder of p under multivariate division by the basis."""
-    basis = [b for b in basis if not b.is_zero()]
-    leads = [b.leading() for b in basis]
-    work = {e: c for e, c in p.terms()}
-    rem: dict[Monomial, Fraction] = {}
-    while work:
-        m = max(work, key=grlex_key)
-        c = work.pop(m)
-        hit = next(
-            ((lm, lc, b) for (lm, lc), b in zip(leads, basis) if _divides(lm, m)),
-            None,
-        )
-        if hit is None:
-            rem[m] = c
-            continue
-        lm, lc, b = hit
-        shift = _msub(m, lm)
-        factor = c / lc
-        for e, bc in b.terms():
-            if e == lm:
-                continue
-            e2 = _madd(e, shift)
-            v = work.get(e2, Fraction(0)) - factor * bc
-            if v:
-                work[e2] = v
-            else:
-                work.pop(e2, None)
-    return MultiPoly(p.arity, rem)

@@ -1,41 +1,20 @@
-"""Exact rational matrices: fraction-free rank, determinant, small solvers.
+"""Exact rational matrices: fraction-free rank and determinant.
 
 Rank and determinant run Bareiss fraction-free elimination on an integer
 rescaling of the matrix, so intermediate values stay integral and exact.
-A word-size prime-field mirror (``rank_mod``) is available as a fast
-pre-filter; modular rank can only underestimate the rational rank, so every
-certificate-bearing result is re-established over the rationals.
+``rank_mod`` reduces the same integer rows modulo a word-size prime; it is
+reported as a cross-check only, never used as a certificate.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
-from .errors import ToolkitError
-
-#: Default word-size prime for the modular pre-filter (override with
-#: the NODAL_DEGEN_PRIME environment variable).
+#: Default word-size prime of ``RatMatrix.rank_mod``.
 DEFAULT_PRIME = 2**31 - 1
-
-
-def prefilter_prime() -> int:
-    """The prime used by the modular mirror, honoring NODAL_DEGEN_PRIME."""
-    raw = os.environ.get("NODAL_DEGEN_PRIME")
-    if raw is None:
-        return DEFAULT_PRIME
-    p = int(raw)
-    if p < 2:
-        raise ValueError(f"NODAL_DEGEN_PRIME must be a prime >= 2, got {p}")
-    return p
-
-
-class ModularUnusable(ToolkitError, ValueError):
-    """A denominator vanishes mod p, so the modular mirror cannot be used."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +63,7 @@ class RatMatrix:
             row = self.row(i)
             mult = lcm(*(x.denominator for x in row)) if row else 1
             scale *= mult
-            out.append([int(x * mult) for x in row])
+            out.append([x.numerator * (mult // x.denominator) for x in row])
         return out, scale
 
     def rank(self) -> int:
@@ -101,22 +80,14 @@ class RatMatrix:
         m, scale = self._int_rows()
         return Fraction(_bareiss_det(m, self.rows)) / scale
 
-    def rank_mod(self, p: int | None = None) -> int:
-        """Rank over the prime field F_p; raises ModularUnusable on bad denominators.
+    def rank_mod(self, p: int = DEFAULT_PRIME) -> int:
+        """Rank over the prime field F_p of the integer rescaling of the rows.
 
-        Always <= the rational rank, which makes full modular rank a sound
-        shortcut but never a substitute for the rational certificate.
+        Row scaling keeps the rational rank, and reduction mod p can only
+        lower it, so the value never exceeds :meth:`rank`.
         """
-        p = p or prefilter_prime()
-        m: list[list[int]] = []
-        for i in range(self.rows):
-            row = []
-            for x in self.row(i):
-                den = x.denominator % p
-                if den == 0:
-                    raise ModularUnusable(f"denominator divisible by {p}")
-                row.append((x.numerator % p) * pow(den, -1, p) % p)
-            m.append(row)
+        rows, _ = self._int_rows()
+        m = [[x % p for x in row] for row in rows]
         rank = 0
         for col in range(self.cols):
             pivot = next((r for r in range(rank, self.rows) if m[r][col]), None)
@@ -181,61 +152,3 @@ def _bareiss_det(m: list[list[int]], n: int) -> int:
                 row_r[c] = (row_r[c] * piv - head * row_k[c]) // prev
         prev = piv
     return sign * m[n - 1][n - 1]
-
-
-def minor_rank(matrix: RatMatrix) -> int:
-    """Exhaustive minor-search rank oracle (exponential; small matrices only).
-
-    The rank is the largest k such that some k-by-k minor has nonzero
-    determinant.  Used as an independent check of :meth:`RatMatrix.rank`.
-    """
-    rows = matrix.to_rows()
-    for k in range(min(matrix.rows, matrix.cols), 0, -1):
-        for ri in combinations(range(matrix.rows), k):
-            for ci in combinations(range(matrix.cols), k):
-                sub = RatMatrix.from_rows([[rows[i][j] for j in ci] for i in ri])
-                if sub.det() != 0:
-                    return k
-    return 0
-
-
-def solve_unique(matrix: RatMatrix, rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve A x = b for the unique solution; raises if none or many exist."""
-    if len(rhs) != matrix.rows:
-        raise ValueError("rhs length must equal the number of rows")
-    n = matrix.cols
-    aug = [list(matrix.row(i)) + [Fraction(rhs[i])] for i in range(matrix.rows)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, len(aug)) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col]
-        aug[row] = [x / inv for x in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, len(aug)):
-        if aug[r][n]:
-            raise ValueError("inconsistent linear system")
-    if len(pivots) < n:
-        raise ValueError("underdetermined linear system")
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][n]
-    return sol
-
-
-def content(values: Sequence[int]) -> int:
-    """gcd of a sequence of integers (0 for the empty sequence)."""
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g

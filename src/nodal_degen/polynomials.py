@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ArityError, DataFormatError
 
@@ -492,10 +492,3 @@ def monomials_of_degree(arity: int, degree: int) -> Iterator[Monomial]:
 
     yield from rec(arity, degree)
 
-
-def product(polys: Iterable[MultiPoly], arity: int) -> MultiPoly:
-    """Product of a sequence of polynomials (1 for the empty sequence)."""
-    result = MultiPoly.const(arity, 1)
-    for p in polys:
-        result = result * p
-    return result

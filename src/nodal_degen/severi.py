@@ -5,8 +5,8 @@ of degree d in projective 3-space (``p3``), and the restricted system of
 degree-d surfaces on a fixed surface inside projective 3-space (``ci4``,
 parametrized by the pair (d, h) with d >= h - 1).  Regularity of a node set
 is certified as full rank of its evaluation matrix against the ambient
-monomial basis, computed exactly over the rationals with an optional
-prime-field pre-filter.
+monomial basis, computed exactly over the rationals; the rank modulo a
+word-size prime is reported alongside as a cross-check.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from math import comb
 from typing import Sequence
 
 from .errors import ArityError, DataFormatError, PointNotOnSurface, ToolkitError
-from .linalg import ModularUnusable, RatMatrix
-from .polynomials import MultiPoly, format_rational, monomials_of_degree, parse_rational
+from .linalg import RatMatrix
+from .polynomials import MultiPoly, monomials_of_degree, parse_rational
 
 SPACES = ("p2", "p3", "ci4")
 
@@ -226,7 +226,7 @@ class IndependenceReport:
     regular: bool
     tangent_dim: int
     delta: int
-    modular_rank: int | None = None
+    modular_rank: int
 
     def to_json(self) -> dict:
         return {
@@ -241,17 +241,14 @@ class IndependenceReport:
 def independence_rank(cm: ConditionMatrix) -> IndependenceReport:
     """Rank of the condition matrix; regular means rank equals the node count.
 
-    The prime-field mirror runs first as a pre-filter, then the rational
-    elimination re-establishes the certified rank (the modular value can
-    only drop, never exceed it).
+    The rank is certified by rational elimination.  The rank modulo a prime
+    is reported as ``modular_rank``; it can only drop below the rational
+    rank, never exceed it, so a larger value is an internal fault.
     """
-    try:
-        modular = cm.matrix.rank_mod()
-    except ModularUnusable:
-        modular = None
+    modular = cm.matrix.rank_mod()
     rank = cm.matrix.rank()
-    if modular is not None and modular > rank:
-        raise ToolkitError("modular pre-filter exceeded the rational rank")
+    if modular > rank:
+        raise ToolkitError("modular rank exceeded the rational rank")
     delta = len(cm.points)
     return IndependenceReport(
         rank=rank,
@@ -322,6 +319,3 @@ def parse_points(doc: dict) -> list[tuple[Fraction, ...]]:
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"malformed points document: {exc}") from exc
 
-
-def points_to_json(points: Sequence[Sequence[Fraction]]) -> dict:
-    return {"points": [[format_rational(Fraction(x)) for x in p] for p in points]}

@@ -43,10 +43,6 @@ class LocalChart:
         if len(set(self.var_names)) != self.arity:
             raise ArityError("chart variable names must be pairwise distinct")
 
-    @classmethod
-    def default(cls, arity: int, note: str = "") -> "LocalChart":
-        return cls(arity, tuple(f"v{i}" for i in range(arity)), note)
-
 
 @dataclass(frozen=True)
 class SingularityReport:
@@ -57,9 +53,6 @@ class SingularityReport:
     hessian_rank: int | None = None
     reason: str | None = None
     witness: dict = field(default_factory=dict)
-
-    def is_node(self) -> bool:
-        return self.kind == NODE_A1
 
     def to_json(self) -> dict:
         doc: dict = {
@@ -91,9 +84,7 @@ def hessian_matrix(f: MultiPoly, q: Sequence[Fraction]) -> RatMatrix:
     return RatMatrix.from_rows(rows)
 
 
-def classify_point(
-    f: MultiPoly, q: Sequence, chart: LocalChart | None = None
-) -> SingularityReport:
+def classify_point(f: MultiPoly, q: Sequence) -> SingularityReport:
     """Classify a point of the surface f = 0 in a 3-variable chart.
 
     The point must satisfy f(q) = 0, otherwise PointNotOnSurface is raised.
@@ -179,8 +170,6 @@ class S0Spec:
     chart_a: LocalChart
     chart_b: LocalChart
     claimed_t1: tuple[tuple[Fraction, Fraction], ...] = ()
-    claimed_nodes_a: tuple[tuple[Fraction, ...], ...] = ()
-    claimed_nodes_b: tuple[tuple[Fraction, ...], ...] = ()
 
     def __post_init__(self):
         if self.g_a.arity != 3 or self.g_b.arity != 3:
@@ -261,14 +250,12 @@ class NodeSetReport:
         }
 
 
-def certify_node_set(
-    f: MultiPoly, points: Sequence[Sequence], chart: LocalChart | None = None
-) -> NodeSetReport:
+def certify_node_set(f: MultiPoly, points: Sequence[Sequence]) -> NodeSetReport:
     """classify_point over a list of pairwise-distinct claimed nodes."""
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("claimed points must be pairwise distinct")
-    reports = tuple(classify_point(f, p, chart) for p in pts)
+    reports = tuple(classify_point(f, p) for p in pts)
     return NodeSetReport(reports, all(r.kind == NODE_A1 for r in reports))
 
 
@@ -408,11 +395,14 @@ def _extract_points(basis, arity: int):
     return [p for p in partial if all(b.eval_at(p) == 0 for b in basis)]
 
 
+def _format_points(points) -> str:
+    """Sorted points as text, e.g. ``[(1/2, 0, 0), (12, 1, 1)]``."""
+    shown = (", ".join(format_rational(x) for x in p) for p in sorted(points))
+    return "[" + ", ".join(f"({body})" for body in shown) + "]"
+
+
 def exclude_extra_singularities(
-    f: MultiPoly,
-    allowed: Sequence[Sequence],
-    degree_cap: int | None = None,
-    chart: LocalChart | None = None,
+    f: MultiPoly, allowed: Sequence[Sequence], degree_cap: int | None = None
 ) -> ExclusionResult:
     """Certify that the singular locus of f = 0 equals the allowed point set.
 
@@ -474,9 +464,9 @@ def exclude_extra_singularities(
     missing = allowed_set - found
     parts = []
     if extra:
-        parts.append(f"unexpected singular points {sorted(extra)}")
+        parts.append(f"unexpected singular points {_format_points(extra)}")
     if missing:
-        parts.append(f"claimed points not singular {sorted(missing)}")
+        parts.append(f"claimed points not singular {_format_points(missing)}")
     return ExclusionResult(
         REFUTED, "; ".join(parts), singular_points=tuple(sorted(found))
     )

@@ -104,6 +104,17 @@ def test_triangle_witness_certifies():
     ]
 
 
+def test_singular_witness_chart_refuted_at_smoothness():
+    # the d=5, seed 615096 draw passes every genericity check, but its S_A
+    # chart is singular at (s, v, w) = (12, 1, 1)
+    bundle = certify_witness(build_witness(5, 615096))
+    assert bundle.verdict == "Refuted"
+    assert bundle.failed_stage == "smoothness"
+    detail = bundle.stages[-1].detail
+    assert detail.startswith("S_A chart: ")
+    assert "(12, 1, 1)" in detail
+
+
 def test_blowup_chart_identity():
     for d, seed in ((3, 1), (4, 5), (5, 2)):
         w = build_witness(d, seed)

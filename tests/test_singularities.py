@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodal_degen.errors import ArityError, GluingError, PointNotOnSurface
+from nodal_degen.linalg import RatMatrix
 from nodal_degen.polynomials import MultiPoly, poly
 from nodal_degen.singularities import (
     CERTIFIED,
@@ -24,6 +25,7 @@ from nodal_degen.singularities import (
     classify_point,
     exclude_extra_singularities,
 )
+from oracles import solve_unique
 
 SVW = ("s", "v", "w")
 YZU = ("y", "z", "u")
@@ -125,8 +127,6 @@ def test_classification_invariant_under_affine_conjugation():
             a, b, subs = _random_affine_map(rng)
             g = f.compose(subs)  # g(v) = f(Av + b)
             # the original point is the origin; its preimage solves Aq' + b = 0
-            from nodal_degen.linalg import RatMatrix, solve_unique
-
             q = solve_unique(RatMatrix.from_rows(a), [-x for x in b])
             assert classify_point(g, q).kind == expected
 
@@ -235,9 +235,13 @@ def test_exclusion_cone():
 
 
 def test_exclusion_missing_claim_refuted():
-    r = exclude_extra_singularities(poly("s**2 + v**2 + w**2", SVW), [])
+    cone = poly("s**2 + v**2 + w**2", SVW)
+    r = exclude_extra_singularities(cone, [])
     assert r.status == REFUTED
-    assert "unexpected" in r.detail
+    assert r.detail == "unexpected singular points [(0, 0, 0)]"
+    r = exclude_extra_singularities(cone, [(0, 0, 0), (Fraction(1, 2), 0, 0)])
+    assert r.status == REFUTED
+    assert r.detail == "claimed points not singular [(1/2, 0, 0)]"
 
 
 def test_exclusion_positive_dimensional_refuted():
