@@ -401,6 +401,10 @@ class CertificateBundle:
         }
 
 
+def _format_point(point) -> str:
+    return "(" + ", ".join(format_rational(x) for x in point) + ")"
+
+
 def certify_witness(
     witness: SurfaceWitness, degree_cap: int | None = None
 ) -> CertificateBundle:
@@ -441,7 +445,7 @@ def certify_witness(
                 StageResult(
                     "nodes",
                     REFUTED,
-                    f"claimed node {point} on C is {report.kind}",
+                    f"claimed node {_format_point(point)} on C is {report.kind}",
                 )
             )
             return bundle(REFUTED, "nodes", None)
@@ -455,7 +459,9 @@ def certify_witness(
         report = certify_t1(spec, point)
         if report.kind != T1:
             stages.append(
-                StageResult("t1", REFUTED, f"point {point}: {report.reason}")
+                StageResult(
+                    "t1", REFUTED, f"point {_format_point(point)}: {report.reason}"
+                )
             )
             return bundle(REFUTED, "t1", None)
     stages.append(

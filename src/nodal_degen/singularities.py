@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import ArityError, GluingError, PointNotOnSurface
@@ -279,69 +279,136 @@ class ExclusionResult:
         return doc
 
 
-_DIVISOR_BOUND = 10**12
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-    return sorted(set(out))
-
-
 def _clear_denominators(coeffs: Sequence[Fraction]) -> list[int]:
     mult = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
     return [int(c * mult) for c in coeffs]
 
 
-def _rational_roots(coeffs: list[Fraction]):
-    """All rational roots of a univariate polynomial, or None if it does not
-    split over Q (or its integer coefficients are too large to factor).
+# Dense integer polynomials below are lists with ``p[k]`` the coefficient of
+# x**k and a nonzero last entry; the zero polynomial is the empty list.
 
-    ``coeffs[k]`` is the coefficient of x**k; the leading coefficient is nonzero.
+
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients (a positive scalar)."""
+    c = gcd(*p)
+    return [a // c for a in p] if c > 1 else p
+
+
+def _derivative(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _rem(a: list[int], b: list[int]) -> list[int]:
+    """A positive scalar multiple of the remainder of a modulo b."""
+    r = a[:]
+    lb = b[-1]
+    scale, sign = abs(lb), (1 if lb > 0 else -1)
+    while len(r) >= len(b):
+        c = r[-1] * sign
+        shift = len(r) - len(b)
+        r = [scale * x for x in r]
+        for i, bc in enumerate(b):
+            r[shift + i] -= c * bc
+        while r and r[-1] == 0:
+            r.pop()
+        r = _primitive(r)
+    return r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two nonzero integer polynomials (primitive PRS)."""
+    while b:
+        a, b = b, _rem(a, b)
+    return _primitive(a)
+
+
+def _quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive divisor b of a; exact over Z by Gauss's lemma."""
+    r = a[:]
+    q = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        c = r[shift + len(b) - 1] // b[-1]
+        q[shift] = c
+        for i, bc in enumerate(b):
+            r[shift + i] -= c * bc
+    return q
+
+
+def _sign_at(p: list[int], x: Fraction) -> int:
+    """Sign of p(x), from the integer Horner sum of den**deg * p(num/den)."""
+    num, den = x.numerator, x.denominator
+    acc, power = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * power
+        power *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(signs) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+
+
+def _rational_roots(coeffs: list[Fraction]) -> list[Fraction] | None:
+    """The distinct rational roots of a univariate polynomial, or None if it
+    does not split over Q.
+
+    ``coeffs[k]`` is the coefficient of x**k; the leading coefficient is
+    nonzero.  The primitive squarefree part g is isolated by Sturm sequences
+    on half-open intervals (a, b], which count a root at b, so a root on a
+    bisection midpoint is kept.  Fewer real roots than deg g means complex
+    roots.  Each root is refined to width below 1/(2 lc**2); a rational root
+    has denominator dividing lc, so it is the midpoint's best approximation
+    with denominator at most lc.  That candidate must lie in the interval and
+    be an exact root; otherwise the interval's root is irrational.
     """
-    ints = _clear_denominators(coeffs)
+    f = _clear_denominators(coeffs)
     roots: list[Fraction] = []
-    while len(ints) > 1:
-        if ints[0] == 0:  # a root at zero; divide by x
-            roots.append(Fraction(0))
-            ints = ints[1:]
+    if f[0] == 0:
+        roots.append(Fraction(0))
+        while f[0] == 0:
+            f = f[1:]
+    if len(f) == 1:
+        return roots
+    f = _primitive(f)
+    g = _quotient(f, _gcd(f, _derivative(f)))
+    if g[-1] < 0:
+        g = [-c for c in g]
+    if len(g) == 2:
+        return sorted(roots + [Fraction(-g[0], g[1])])
+    chain = [g, _primitive(_derivative(g))]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
+    at_plus_inf = [1 if p[-1] > 0 else -1 for p in chain]
+    at_minus_inf = [s * (-1) ** (len(p) - 1) for s, p in zip(at_plus_inf, chain)]
+    if _variations(at_minus_inf) - _variations(at_plus_inf) < len(g) - 1:
+        return None  # some roots are not real
+    lc = g[-1]
+    # Cauchy's bound: every root has |x| < 2 + max|g_i| // lc <= bound
+    bound = 1 << (1 + max(abs(c) for c in g[:-1]) // lc).bit_length()
+    width = Fraction(1, 2 * lc * lc)
+
+    def variations_at(x: Fraction) -> int:
+        return _variations([_sign_at(p, x) for p in chain])
+
+    lo, hi = Fraction(-bound), Fraction(bound)
+    stack = [(lo, hi, variations_at(lo), variations_at(hi))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        count = v_lo - v_hi
+        if count == 0:
             continue
-        if len(ints) == 2:
-            roots.append(Fraction(-ints[0], ints[1]))
-            ints = [ints[1]]
+        if count == 1 and hi - lo < width:
+            r = ((lo + hi) / 2).limit_denominator(lc)
+            if not lo < r <= hi or _sign_at(g, r) != 0:
+                return None
+            roots.append(r)
             continue
-        if abs(ints[0]) > _DIVISOR_BOUND or abs(ints[-1]) > _DIVISOR_BOUND:
-            return None
-        found = None
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    acc = Fraction(0)
-                    for c in reversed(ints):
-                        acc = acc * cand + c
-                    if acc == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return None  # irrational (or complex) roots remain
-        roots.append(found)
-        # synthetic division by (x - found), done exactly over Q
-        quot: list[Fraction] = []
-        acc = Fraction(0)
-        for c in reversed(ints):
-            acc = acc * found + c
-            quot.append(acc)
-        quot = quot[:-1][::-1]  # drop the remainder (zero)
-        ints = _clear_denominators(quot)
-    return roots
+        mid = (lo + hi) / 2
+        v_mid = variations_at(mid)
+        stack.append((lo, mid, v_lo, v_mid))
+        stack.append((mid, hi, v_mid, v_hi))
+    return sorted(roots)
 
 
 def _univariate_in(p: MultiPoly, var: int) -> list[Fraction] | None:
@@ -389,7 +456,7 @@ def _extract_points(basis, arity: int):
             roots = _rational_roots(coeffs)
             if roots is None:
                 return None
-            for r in sorted(set(roots)):
+            for r in roots:
                 nxt.append((r,) + assign)
         partial = nxt
     return [p for p in partial if all(b.eval_at(p) == 0 for b in basis)]

@@ -1,11 +1,13 @@
 """Slow, independent reference computations that the tests check the library
 against: rational S-polynomials and multivariate division, an exhaustive
-minor-search rank, and a Gauss-Jordan solver over Fraction."""
+minor-search rank, a Gauss-Jordan solver over Fraction, and rational roots by
+the rational root theorem."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt, lcm
 from typing import Sequence
 
 from nodal_degen.linalg import RatMatrix
@@ -112,3 +114,59 @@ def solve_unique(matrix: RatMatrix, rhs: Sequence[Fraction]) -> list[Fraction]:
     for r, col in enumerate(pivots):
         sol[col] = aug[r][n]
     return sol
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            out.append(d)
+            out.append(n // d)
+    return sorted(set(out))
+
+
+def _integer_multiple(coeffs: Sequence[Fraction]) -> list[int]:
+    mult = lcm(*(Fraction(c).denominator for c in coeffs))
+    return [int(Fraction(c) * mult) for c in coeffs]
+
+
+def rational_roots_by_divisors(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
+    """Rational roots with multiplicity, or None if the polynomial does not
+    split over Q, by trying every p/q with p | a0 and q | an (exponential in
+    the size of the end coefficients; small heights only).
+
+    ``coeffs[k]`` is the coefficient of x**k; the leading coefficient is nonzero.
+    """
+    ints = _integer_multiple(coeffs)
+    roots: list[Fraction] = []
+    while len(ints) > 1:
+        if ints[0] == 0:  # a root at zero; divide by x
+            roots.append(Fraction(0))
+            ints = ints[1:]
+            continue
+        found = None
+        for p in _divisors(ints[0]):
+            for q in _divisors(ints[-1]):
+                for cand in (Fraction(p, q), Fraction(-p, q)):
+                    acc = Fraction(0)
+                    for c in reversed(ints):
+                        acc = acc * cand + c
+                    if acc == 0:
+                        found = cand
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            return None  # irrational or complex roots remain
+        roots.append(found)
+        # synthetic division by (x - found), exact over Q
+        quot: list[Fraction] = []
+        acc = Fraction(0)
+        for c in reversed(ints):
+            acc = acc * found + c
+            quot.append(acc)
+        ints = _integer_multiple(quot[:-1][::-1])  # drop the remainder (zero)
+    return roots

@@ -196,6 +196,30 @@ def test_tampered_companion_surface_fails_gluing():
     assert bundle.failed_stage == "gluing"
 
 
+def test_psi_vanishing_at_node_refuted_at_t1_with_rational_text():
+    w = build_witness(4, 0)
+    assert w.chart_nodes()[0] == (Fraction(-1, 8), Fraction(5, 16))
+    # psi = (x + 8*y)*(16*z - 5*x) vanishes at the node (1, -1/8, 5/16) only,
+    # so S_B is singular there
+    psi = poly("16*x*z - 5*x**2 + 128*y*z - 40*x*y", ("x", "y", "z", "tau"))
+    tau = MultiPoly.variable(4, 3)
+    tampered = type(w)(
+        d=w.d,
+        seed=w.seed,
+        arrangement=w.arrangement,
+        phi1=w.phi1,
+        phi2=w.phi2,
+        psi=psi,
+        projective_equation=w.projective_equation,
+        blowup_chart_a=w.blowup_chart_a,
+        sb_equation=w.phi1.extend(1) + tau * psi,
+    )
+    bundle = certify_witness(tampered)
+    assert bundle.verdict == "Refuted"
+    assert bundle.failed_stage == "t1"
+    assert bundle.stages[-1].detail == "point (-1/8, 5/16): S_B singular at p"
+
+
 def test_tampered_chart_fails_structure():
     w = build_witness(4, 2)
     broken = type(w)(

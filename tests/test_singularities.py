@@ -1,6 +1,7 @@
 """Singularity classification: chart examples, invariances, exclusion checks."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,12 +21,13 @@ from nodal_degen.singularities import (
     T1,
     LocalChart,
     S0Spec,
+    _rational_roots,
     certify_node_set,
     certify_t1,
     classify_point,
     exclude_extra_singularities,
 )
-from oracles import solve_unique
+from oracles import rational_roots_by_divisors, solve_unique
 
 SVW = ("s", "v", "w")
 YZU = ("y", "z", "u")
@@ -285,3 +287,105 @@ def test_exclusion_implies_critical_at_allowed():
 def test_exclusion_arity_guard():
     with pytest.raises(ArityError):
         exclude_extra_singularities(poly("x**2", ("x", "y")), [])
+
+
+def test_exclusion_large_end_coefficients_certified():
+    # h = 10**14*s**2 + 4*10**7*s - 21 = (10**7*s - 3)*(10**7*s + 7): its end
+    # coefficients are far beyond any divisor enumeration
+    h = poly("100000000000000*s**2 + 40000000*s - 21", SVW)
+    f = h * h + poly("v**2 + w**2", SVW)
+    allowed = [(Fraction(3, 10**7), 0, 0), (Fraction(-7, 10**7), 0, 0)]
+    r = exclude_extra_singularities(f, allowed)
+    assert r.status == CERTIFIED
+    assert set(r.singular_points) == {tuple(map(Fraction, p)) for p in allowed}
+
+
+# ---------------------------------------------------------- root extraction
+
+
+def _expand(factors) -> list[Fraction]:
+    """Coefficients (lowest degree first) of a product of coefficient lists."""
+    out = [Fraction(1)]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+# irreducible over Q: complex pairs, real quadratic irrationals, cubics
+_IRREDUCIBLE = [
+    [1, 0, 1],
+    [-2, 0, 1],
+    [1, 1, 1],
+    [-5, 0, 3],
+    [-1, -1, 1],
+    [-2, 0, 0, 1],
+    [1, 1, 0, 1],
+    [1, -3, 0, 1],
+]
+
+
+@st.composite
+def _split_or_not(draw):
+    linear = st.tuples(st.integers(-6, 6), st.integers(1, 4))
+    roots = draw(st.lists(linear, max_size=4))
+    roots += draw(st.lists(st.sampled_from(roots), max_size=2)) if roots else []
+    extra = draw(st.lists(st.sampled_from(_IRREDUCIBLE), max_size=1))
+    scale = draw(st.integers(-7, 7).filter(bool))
+    denom = draw(st.integers(1, 5))
+    factors = [[Fraction(-p), Fraction(q)] for p, q in roots] + extra
+    factors.append([Fraction(scale, denom)])
+    return _expand(factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_or_not())
+def test_rational_roots_match_divisor_oracle(coeffs):
+    expected = rational_roots_by_divisors(coeffs)
+    got = _rational_roots(coeffs)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None and set(got) == set(expected)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        [0, 0, 1, 1, 1],  # repeated roots and a root at zero
+        [1, 2, -4, 8],  # integers on the dyadic bisection midpoints
+        [0, -1, Fraction(1, 2), Fraction(-3, 4)],
+        [Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)],
+    ],
+)
+def test_rational_roots_of_split_polynomials(roots):
+    coeffs = _expand([[-Fraction(r), Fraction(1)] for r in roots])
+    assert _rational_roots(coeffs) == sorted(set(map(Fraction, roots)))
+    assert _rational_roots([3 * c for c in coeffs]) == sorted(set(map(Fraction, roots)))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        # +-sqrt(2) are isolated in (1.25, 1.5] and (-1.5, -1.25], whose
+        # midpoints round to the rational roots +-1 outside those intervals
+        [[-1, 0, 1], [-2, 0, 1]],
+        # 1 +- sqrt(2)/1000 next to the rational root 1
+        [[-1, 1], [Fraction(999998, 1000000), -2, 1]],
+    ],
+)
+def test_rational_roots_irrational_root_next_to_rational(factors):
+    coeffs = _expand(factors)
+    assert rational_roots_by_divisors(coeffs) is None
+    assert _rational_roots(coeffs) is None
+
+
+@pytest.mark.parametrize("c", [720720, 963761198400])
+def test_rational_roots_large_end_coefficients_fast(c):
+    # irreducible with end coefficients of 240 and 6720 divisors
+    start = time.perf_counter()
+    assert _rational_roots([Fraction(c), Fraction(1), Fraction(c)]) is None
+    assert time.perf_counter() - start < 1.0
