@@ -59,7 +59,6 @@ from .severi import (
 )
 from .singularities import (
     ExclusionResult,
-    LocalChart,
     NodeSetReport,
     S0Spec,
     SingularityReport,
@@ -84,7 +83,6 @@ __all__ = [
     "HessianLimitResult",
     "IndependenceReport",
     "LineArrangement",
-    "LocalChart",
     "MultiPoly",
     "NodeSetReport",
     "PointNotOnSurface",

@@ -32,7 +32,6 @@ from .singularities import (
     NODE_A1,
     REFUTED,
     T1,
-    LocalChart,
     S0Spec,
     certify_t1,
     curve_double_point,
@@ -345,10 +344,6 @@ def _structural_defect(w: SurfaceWitness) -> str | None:
     return None
 
 
-CHART_A = LocalChart(3, ("s", "z", "u"), note="blow-up chart at the centre; R = {s = 0}")
-CHART_B = LocalChart(3, ("tau", "z", "u"), note="companion-surface chart; R = {tau = 0}")
-
-
 def central_fibre(witness: SurfaceWitness) -> S0Spec:
     """Glue the two chart equations into a central-fibre description.
 
@@ -361,8 +356,6 @@ def central_fibre(witness: SurfaceWitness) -> S0Spec:
     spec = S0Spec(
         g_a=g_a,
         g_b=g_b,
-        chart_a=CHART_A,
-        chart_b=CHART_B,
         claimed_t1=witness.chart_nodes(),
     )
     spec.gluing_scalar()  # raises on mismatch

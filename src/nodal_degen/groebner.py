@@ -4,8 +4,15 @@ The working representation is primitive integer polynomials (content one,
 positive leading coefficient), with pseudo-division and periodic joint
 content stripping to keep coefficients small; the reduced basis is returned
 monic over the rationals.  Pair bookkeeping uses the Gebauer-Moeller
-elimination criteria with the normal (minimal lcm) selection strategy.
+elimination criteria with the normal (minimal lcm) selection strategy, and
+Gebauer-Moeller basis pruning: an element whose leading monomial is divisible
+by that of a later element gets no new pairs (it stays a reducer).
 There is no prime-field variant: every basis is computed exactly over Q.
+
+The loop stops early once the standard monomials of the leading monomials
+found so far number at most the verified common zeros passed in ``zeros``
+(Macaulay's theorem; see ``groebner_basis``).  With no zeros this is the
+unit-ideal exit.
 
 A run is *inconclusive* when some surviving critical pair has an lcm degree
 above the cap: the returned polynomials then still generate a subideal
@@ -175,8 +182,13 @@ def default_degree_cap(gens: Sequence[MultiPoly]) -> int:
     return 2 * max(degs, default=0) + 4
 
 
-def _gm_update(G, lms, pairs, f):
-    """Gebauer-Moeller pair update when f joins the basis."""
+def _gm_update(G, lms, live, pairs, f):
+    """Gebauer-Moeller pair update when f joins the basis.
+
+    ``live`` lists the elements not made redundant by a later leading
+    monomial; only they are paired with f, and those whose leading monomial
+    lm(f) divides leave it once paired.
+    """
     lmf = _lead(f)
     kept = set()
     for i, j in pairs:
@@ -188,7 +200,7 @@ def _gm_update(G, lms, pairs, f):
         ):
             kept.add((i, j))
     by_lcm: dict[Monomial, list[int]] = {}
-    for i in range(len(G)):
+    for i in live:
         by_lcm.setdefault(_mlcm(lms[i], lmf), []).append(i)
     minimal: list[Monomial] = []
     for L in sorted(by_lcm, key=grlex_key):
@@ -199,13 +211,41 @@ def _gm_update(G, lms, pairs, f):
         # Buchberger's coprimality criterion kills the whole lcm class.
         if not any(_mlcm(lms[i], lmf) == _madd(lms[i], lmf) for i in by_lcm[L]):
             kept.add((min(by_lcm[L]), new_index))
+    live[:] = [i for i in live if not _divides(lmf, lms[i])]
+    live.append(new_index)
     G.append(f)
     lms.append(lmf)
     return kept
 
 
-def _run_buchberger(int_gens: list[_IntPoly], degree_cap: int):
-    """Core loop; returns (basis_dicts, status)."""
+def _at_most_standard(lms: Sequence[Monomial], bound: int) -> bool:
+    """True when at most ``bound`` monomials lie outside the ideal <lms>.
+
+    Standard monomials form an order ideal, so a search that raises one
+    exponent at a time (variables in nondecreasing order, each monomial
+    reached once) meets them all; it stops as soon as the count passes the
+    bound, which also covers an infinite complement.
+    """
+    count = 0
+    stack = [((0,) * len(lms[0]), 0)]
+    while stack:
+        m, first = stack.pop()
+        if any(_divides(lm, m) for lm in lms):
+            continue
+        count += 1
+        if count > bound:
+            return False
+        for j in range(first, len(m)):
+            stack.append((m[:j] + (m[j] + 1,) + m[j + 1 :], j))
+    return True
+
+
+def _run_buchberger(int_gens: list[_IntPoly], degree_cap: int, n_zeros: int):
+    """Core loop; returns (basis_dicts, status).
+
+    ``n_zeros`` distinct common zeros of the generators are known; the loop
+    stops once the leading monomials leave at most that many standard ones.
+    """
 
     def basis_view(G):
         rows = [(lm, g[lm], g) for lm, g in ((_lead(g), g) for g in G)]
@@ -222,31 +262,31 @@ def _run_buchberger(int_gens: list[_IntPoly], degree_cap: int):
 
     G: list[_IntPoly] = []
     lms: list[Monomial] = []
+    live: list[int] = []
     pairs: set[tuple[int, int]] = set()
-    for f in gens:
-        if sum(_lead(f)) == 0:
-            return [f], "ok"  # unit ideal
-        pairs = _gm_update(G, lms, pairs, f)
-
+    queue = iter(gens)
     while True:
-        eligible = [
-            (grlex_key(_mlcm(lms[i], lms[j])), (i, j))
-            for i, j in pairs
-            if sum(_mlcm(lms[i], lms[j])) <= degree_cap
-        ]
-        if not eligible:
+        f = next(queue, None)
+        if f is None:
+            eligible = [
+                (grlex_key(_mlcm(lms[i], lms[j])), (i, j))
+                for i, j in pairs
+                if sum(_mlcm(lms[i], lms[j])) <= degree_cap
+            ]
+            if not eligible:
+                break
+            _, (i, j) = min(eligible)
+            pairs.discard((i, j))
+            s = _spoly(G[i], G[j])
+            if not s:
+                continue
+            f = _reduce(s, basis_view(G))
+            if not f:
+                continue
+        pairs = _gm_update(G, lms, live, pairs, f)
+        if _at_most_standard([lms[i] for i in live], n_zeros):
+            pairs = set()  # G is already a Groebner basis
             break
-        _, (i, j) = min(eligible)
-        pairs.discard((i, j))
-        s = _spoly(G[i], G[j])
-        if not s:
-            continue
-        r = _reduce(s, basis_view(G))
-        if not r:
-            continue
-        if sum(_lead(r)) == 0:
-            return [r], "ok"
-        pairs = _gm_update(G, lms, pairs, r)
 
     status = "ok" if not pairs else "inconclusive"
 
@@ -266,12 +306,25 @@ def _run_buchberger(int_gens: list[_IntPoly], degree_cap: int):
 
 
 def groebner_basis(
-    gens: Sequence[MultiPoly], degree_cap: int | None = None
+    gens: Sequence[MultiPoly],
+    degree_cap: int | None = None,
+    zeros: Sequence[Sequence] = (),
 ) -> GroebnerResult:
     """Reduced Groebner basis in graded-lex order, or an inconclusive residual.
 
     All generators must share one arity and the cap must be at least the
     maximal generator degree.  Basis elements are returned monic.
+
+    ``zeros`` may list points thought to be common zeros; the k distinct
+    ones at which every generator is exactly 0 let the loop stop as soon as
+    the leading monomials of the partial basis G leave N <= k standard
+    monomials.  That is sound: G is in I, so <LM(G)> is in LT(I) and
+    dim Q[x]/I <= N, while k distinct zeros give dim Q[x]/I >= k.  So N = k,
+    LT(I) = <LM(G)> and G is already a Groebner basis (V(I) is those k
+    points, each simple); the pairs left, even those above the cap, are
+    dropped.  With k = 0 this is the unit-ideal exit.  The reduced basis is
+    unique, so the result never depends on ``zeros`` except that a run the
+    cap would leave inconclusive can finish.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -287,6 +340,10 @@ def groebner_basis(
         raise ValueError(
             f"degree_cap {degree_cap} below maximal generator degree {max_deg}"
         )
-    basis, status = _run_buchberger([_from_multipoly(g) for g in gens], degree_cap)
+    points = {tuple(Fraction(x) for x in p) for p in zeros}
+    n_zeros = sum(all(g.eval_at(p) == 0 for g in gens) for p in points)
+    basis, status = _run_buchberger(
+        [_from_multipoly(g) for g in gens], degree_cap, n_zeros
+    )
     out = tuple(_to_multipoly(f, arity) for f in basis)
     return GroebnerResult(status, out, degree_cap)

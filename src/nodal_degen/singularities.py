@@ -30,21 +30,6 @@ INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
-class LocalChart:
-    """Names and provenance of an affine coordinate chart."""
-
-    arity: int
-    var_names: tuple[str, ...]
-    note: str = ""
-
-    def __post_init__(self):
-        if len(self.var_names) != self.arity:
-            raise ArityError("var_names length must equal arity")
-        if len(set(self.var_names)) != self.arity:
-            raise ArityError("chart variable names must be pairwise distinct")
-
-
-@dataclass(frozen=True)
 class SingularityReport:
     """Exact verdict about one point of a surface chart."""
 
@@ -167,8 +152,6 @@ class S0Spec:
 
     g_a: MultiPoly
     g_b: MultiPoly
-    chart_a: LocalChart
-    chart_b: LocalChart
     claimed_t1: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def __post_init__(self):
@@ -477,18 +460,23 @@ def exclude_extra_singularities(
     degree-capped Groebner run.  Certified requires a zero-dimensional
     singular locus whose points (extracted only from triangular bases with
     rational roots) match the allowed list exactly; anything the cap or the
-    extraction cannot settle is reported Inconclusive, never guessed.
+    extraction cannot settle is reported Inconclusive, never guessed.  The
+    allowed points go to the run as candidate zeros, so a chart whose
+    singular locus is exactly those points, each simple (a node, say), stops
+    as soon as its basis is complete.
     """
     if f.arity != 3:
         raise ArityError("exclude_extra_singularities expects a 3-variable chart")
     if f.is_zero():
         raise ValueError("zero polynomial does not define a surface")
+    if any(len(p) != 3 for p in allowed):
+        raise ArityError("allowed points of a surface chart have 3 coordinates")
     allowed_set = {tuple(Fraction(x) for x in p) for p in allowed}
     gens = [f, *f.gradient()]
     gens = [g for g in gens if not g.is_zero()]
     if degree_cap is None:
         degree_cap = default_degree_cap(gens)
-    result = groebner_basis(gens, degree_cap)
+    result = groebner_basis(gens, degree_cap, zeros=allowed_set)
     if result.status != "ok":
         return ExclusionResult(
             INCONCLUSIVE,

@@ -1,7 +1,7 @@
 """Slow, independent reference computations that the tests check the library
-against: rational S-polynomials and multivariate division, an exhaustive
-minor-search rank, a Gauss-Jordan solver over Fraction, and rational roots by
-the rational root theorem."""
+against: rational S-polynomials and multivariate division, a plain Buchberger
+algorithm built on them, an exhaustive minor-search rank, a Gauss-Jordan
+solver over Fraction, and rational roots by the rational root theorem."""
 
 from __future__ import annotations
 
@@ -66,6 +66,35 @@ def normal_form(p: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
             else:
                 work.pop(e2, None)
     return MultiPoly(p.arity, rem)
+
+
+def buchberger(gens: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
+    """Reduced Groebner basis in graded-lex order by plain Buchberger: every
+    S-pair is reduced, smallest lcm first, with no criteria and no degree cap,
+    in Fraction arithmetic.  Returned monic, by descending leading monomial."""
+    basis = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+
+    def lcm_key(pair):
+        lf, lg = (basis[k].leading()[0] for k in pair)
+        return grlex_key(tuple(max(x, y) for x, y in zip(lf, lg)))
+
+    while pairs:
+        i, j = min(pairs, key=lcm_key)
+        pairs.remove((i, j))
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        if not r.is_zero():
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r)
+    minimal: list[MultiPoly] = []
+    for g in sorted(basis, key=lambda g: grlex_key(g.leading()[0])):
+        if not any(_divides(h.leading()[0], g.leading()[0]) for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for g in minimal:
+        r = normal_form(g, [h for h in minimal if h is not g])
+        reduced.append(r * (1 / r.leading()[1]))
+    return tuple(sorted(reduced, key=lambda g: grlex_key(g.leading()[0]), reverse=True))
 
 
 def minor_rank(matrix: RatMatrix) -> int:

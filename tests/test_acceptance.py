@@ -18,7 +18,7 @@ from nodal_degen.degeneration import hessian_limit_check
 from nodal_degen.linalg import RatMatrix
 from nodal_degen.polynomials import MultiPoly, poly
 from nodal_degen.severi import SystemSpec, linear_system_dim, restricted_dim_oracle
-from nodal_degen.singularities import LocalChart, S0Spec, certify_t1
+from nodal_degen.singularities import S0Spec, certify_t1
 
 
 def run_cli(argv):
@@ -258,13 +258,9 @@ def test_criterion_7_refutation_coverage(tmp_path):
     assert doc["manifest"]["verdict"] == "Refuted"
 
     # (b) cusp restriction: T1 certification refuted naming the condition
-    chart_a = LocalChart(3, ("y", "z", "u"))
-    chart_b = LocalChart(3, ("x", "z", "u"))
     cusp = S0Spec(
         poly("y + z**2", ("y", "z", "u")),
         poly("x + z**2", ("x", "z", "u")),
-        chart_a,
-        chart_b,
     )
     report = certify_t1(cusp, (0, 0))
     assert report.kind == "Refuted"

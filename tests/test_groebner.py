@@ -1,12 +1,20 @@
-"""Buchberger postconditions: reduction to zero, S-pair closure, degree caps."""
+"""Buchberger postconditions: reduction to zero, S-pair closure, degree caps,
+the verified-zeros stop, and agreement with a plain Buchberger oracle."""
+
+from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nodal_degen import groebner
 from nodal_degen.errors import ArityError
 from nodal_degen.groebner import default_degree_cap, groebner_basis
 from nodal_degen.polynomials import MultiPoly, poly
-from oracles import normal_form, s_polynomial
+from oracles import buchberger, normal_form, s_polynomial
 
+XY = ("x", "y")
 XYZ = ("x", "y", "z")
 SVW = ("s", "v", "w")
 
@@ -86,3 +94,99 @@ def test_normal_form_membership():
     basis = list(groebner_basis(gens).basis)
     assert normal_form(poly("x - z", XYZ), basis).is_zero()
     assert not normal_form(poly("x + z", XYZ), basis).is_zero()
+
+
+# ------------------------------------------------ plain Buchberger oracle
+
+
+@pytest.mark.parametrize(
+    "texts, names",
+    [
+        (["x*y - 1", "x**2 - y", "y**2 - x**3"], XY),  # unit ideal
+        (["x**2 - 1", "y**2 - x", "x*y - y"], XY),  # zero-dimensional
+        (["x**2 + y*z - 2", "y**2 - x*z", "z**2 - x - y"], XYZ),  # zero-dimensional
+        (["x*y", "x*z"], XYZ),  # the plane x = 0 and the line y = z = 0
+        (["x**3 - y**2", "x*y*z - z**2"], XYZ),  # positive-dimensional
+    ],
+)
+def test_basis_matches_plain_buchberger_on_fixed_ideals(texts, names):
+    gens = [poly(t, names) for t in texts]
+    res = groebner_basis(gens)
+    assert res.status == "ok"
+    assert res.basis == buchberger(gens)
+
+
+@st.composite
+def _small_ideals(draw):
+    arity = draw(st.sampled_from([2, 3]))
+    monomial = st.tuples(*[st.integers(0, 3)] * arity).filter(lambda e: sum(e) <= 3)
+    coeff = st.integers(-3, 3).filter(bool).map(Fraction)
+    terms = st.dictionaries(monomial, coeff, min_size=1, max_size=3)
+    return [MultiPoly(arity, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_ideals())
+def test_basis_matches_plain_buchberger(gens):
+    res = groebner_basis(gens, degree_cap=24)
+    assert res.status == "ok"
+    assert res.basis == buchberger(gens)
+    # every small grid point is offered; the run counts the common zeros
+    grid = list(product((-1, 0, 1), repeat=gens[0].arity))
+    assert groebner_basis(gens, degree_cap=24, zeros=grid) == res
+
+
+# ------------------------------------------------------ verified-zeros stop
+
+
+def test_bogus_zero_changes_nothing():
+    gens = [poly("x**2 - 1", XY), poly("y**2 - x", XY)]
+    assert groebner_basis(gens, zeros=[(2, 5), (0, 0)]) == groebner_basis(gens)
+    assert groebner_basis(gens, zeros=[(1, 1), (1, 1)]) == groebner_basis(gens)
+
+
+def test_zeros_of_wrong_length_rejected():
+    with pytest.raises(ArityError):
+        groebner_basis([poly("x**2 - 1", XY)], zeros=[(1, 0, 0)])
+
+
+def test_verified_zeros_finish_a_capped_run():
+    # V(I) = {(0, 0), (0, 1), (0, -1)}; the pair left at cap 3 has lcm degree 5
+    gens = [poly("x**2*y - x", XY), poly("y**3 - x*y - y", XY), poly("y - y**3", XY)]
+    assert groebner_basis(gens, degree_cap=3).status == "inconclusive"
+    res = groebner_basis(gens, degree_cap=3, zeros=[(0, 0), (0, 1), (0, -1)])
+    assert res.status == "ok"
+    assert res.basis == groebner_basis(gens).basis == buchberger(gens)
+    assert res.basis == (poly("y**3 - y", XY), poly("x", XY))
+
+
+def _zero_reductions(monkeypatch, gens, zeros):
+    counts = {"zero": 0, "nonzero": 0}
+    reduce = groebner._reduce
+
+    def counting(f, basis):
+        r = reduce(f, basis)
+        counts["zero" if not r else "nonzero"] += 1
+        return r
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    res = groebner_basis(gens, zeros=zeros)
+    monkeypatch.undo()
+    return res, counts
+
+
+def test_nodal_quintic_chart_wastes_no_reductions(monkeypatch):
+    # A degree-5 chart with one node at P.  Without basis pruning and the
+    # stop, 57 of its 110 reductions reduced to zero; pruning alone leaves 19.
+    text = (
+        "s**2 + 2*v**2 - w**2 + s*v*w + s**4 - v**3*w"
+        " + s**5 + v**5 + w**5 - 2*s*v**2*w**2"
+    )
+    P = (Fraction(1, 2), -1, 2)
+    f = poly(text, SVW).translate([-x for x in P])
+    gens = [f, *f.gradient()]
+    res, counts = _zero_reductions(monkeypatch, gens, [P])
+    assert counts == {"zero": 0, "nonzero": 53}
+    plain, plain_counts = _zero_reductions(monkeypatch, gens, [])
+    assert plain_counts == {"zero": 19, "nonzero": 53}
+    assert res == plain

@@ -5,12 +5,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nodal_degen.errors import ArityError, GluingError, PointNotOnSurface
 from nodal_degen.linalg import RatMatrix
-from nodal_degen.polynomials import MultiPoly, poly
+from nodal_degen.groebner import groebner_basis
+from nodal_degen.polynomials import MultiPoly, monomials_of_degree, poly
 from nodal_degen.singularities import (
     CERTIFIED,
     DEGENERATE,
@@ -19,13 +20,13 @@ from nodal_degen.singularities import (
     REFUTED,
     SMOOTH,
     T1,
-    LocalChart,
     S0Spec,
     _rational_roots,
     certify_node_set,
     certify_t1,
     classify_point,
     exclude_extra_singularities,
+    hessian_matrix,
 )
 from oracles import rational_roots_by_divisors, solve_unique
 
@@ -33,12 +34,9 @@ SVW = ("s", "v", "w")
 YZU = ("y", "z", "u")
 XZU = ("x", "z", "u")
 
-CHART_A = LocalChart(3, YZU)
-CHART_B = LocalChart(3, XZU)
-
 
 def _spec(ga_text: str, gb_text: str, **kw) -> S0Spec:
-    return S0Spec(poly(ga_text, YZU), poly(gb_text, XZU), CHART_A, CHART_B, **kw)
+    return S0Spec(poly(ga_text, YZU), poly(gb_text, XZU), **kw)
 
 
 # ------------------------------------------------------------ classify_point
@@ -195,7 +193,7 @@ def test_t1_iff_half_hessian_nonzero(data):
     f2 = MultiPoly(4, coeffs)
     g_a = MultiPoly.variable(3, 0) + f2.set_var(0, 0).without_var(0)
     g_b = MultiPoly.variable(3, 0) + f2.set_var(1, 0).without_var(1)
-    spec = S0Spec(g_a, g_b, CHART_A, CHART_B)
+    spec = S0Spec(g_a, g_b)
     a = f2.coefficient((0, 0, 2, 0))
     b = f2.coefficient((0, 0, 1, 1))
     c = f2.coefficient((0, 0, 0, 2))
@@ -287,6 +285,61 @@ def test_exclusion_implies_critical_at_allowed():
 def test_exclusion_arity_guard():
     with pytest.raises(ArityError):
         exclude_extra_singularities(poly("x**2", ("x", "y")), [])
+
+
+@pytest.mark.parametrize("point", [(0, 0), (0, 0, 0, 0)])
+def test_exclusion_allowed_point_of_wrong_length(point):
+    with pytest.raises(ArityError):
+        exclude_extra_singularities(poly("s**2 + v**2 + w**2", SVW), [point])
+
+
+TWO_NODES = "s**4 - 2*s**3 + s**2 + v**2 + w**2"
+
+
+@pytest.mark.parametrize(
+    "text, allowed, status, detail, points",
+    [
+        # an A2 point: two standard monomials for one known zero, no early stop
+        ("s**3 + v**2 + w**2", [(0, 0, 0)], CERTIFIED,
+         "singular locus is exactly the 1 allowed point(s)", [(0, 0, 0)]),
+        (TWO_NODES, [(0, 0, 0)], REFUTED,
+         "unexpected singular points [(1, 0, 0)]", [(0, 0, 0), (1, 0, 0)]),
+        (TWO_NODES, [(0, 0, 0), (1, 0, 0), (5, 0, 0)], REFUTED,
+         "claimed points not singular [(5, 0, 0)]", [(0, 0, 0), (1, 0, 0)]),
+    ],
+)
+def test_exclusion_verdict_json(text, allowed, status, detail, points):
+    r = exclude_extra_singularities(poly(text, SVW), allowed)
+    assert r.to_json() == {
+        "status": status,
+        "detail": detail,
+        "singular_points": [[str(x) for x in p] for p in points],
+    }
+
+
+@st.composite
+def _nodal_charts(draw):
+    """Q + C3 (+ C4) with Q a nondegenerate quadratic form, recentred at P."""
+    coeff = st.integers(-4, 4).map(Fraction)
+    q = MultiPoly(3, {e: draw(coeff) for e in monomials_of_degree(3, 2)})
+    assume(hessian_matrix(q, (0, 0, 0)).det() != 0)
+    terms = dict(q.terms())
+    for k in range(3, draw(st.integers(3, 4)) + 1):
+        terms.update({e: draw(coeff) for e in monomials_of_degree(3, k)})
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    P = tuple(draw(rational) for _ in range(3))
+    return MultiPoly(3, terms).translate([-x for x in P]), P
+
+
+@settings(max_examples=25, deadline=None)
+@given(_nodal_charts())
+def test_nodal_chart_stop_keeps_basis_and_verdict(chart):
+    f, P = chart
+    gens = [f, *f.gradient()]
+    assert groebner_basis(gens, zeros=[P]).basis == groebner_basis(gens).basis
+    r = exclude_extra_singularities(f, [P])
+    assert r.status == CERTIFIED
+    assert r.singular_points == (P,)
 
 
 def test_exclusion_large_end_coefficients_certified():
