@@ -9,6 +9,7 @@ functions of the inputs and the --seed flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -102,7 +103,9 @@ def _rat_flag(text: str, parser: _Parser, flag: str) -> Fraction:
         raise AssertionError("unreachable")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="nodal-degen",
         description="Exact certificates for nodal-surface degenerations "

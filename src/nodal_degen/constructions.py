@@ -17,7 +17,13 @@ from typing import Sequence
 
 from .errors import DataFormatError, GenericityError, GluingError
 from .linalg import RatMatrix
-from .polynomials import MultiPoly, format_rational, monomials_of_degree, parse_rational
+from .polynomials import (
+    MultiPoly,
+    format_point,
+    format_rational,
+    monomials_of_degree,
+    parse_rational,
+)
 from .severi import (
     SystemSpec,
     canonical_point,
@@ -394,10 +400,6 @@ class CertificateBundle:
         }
 
 
-def _format_point(point) -> str:
-    return "(" + ", ".join(format_rational(x) for x in point) + ")"
-
-
 def certify_witness(
     witness: SurfaceWitness, degree_cap: int | None = None
 ) -> CertificateBundle:
@@ -438,7 +440,7 @@ def certify_witness(
                 StageResult(
                     "nodes",
                     REFUTED,
-                    f"claimed node {_format_point(point)} on C is {report.kind}",
+                    f"claimed node {format_point(point)} on C is {report.kind}",
                 )
             )
             return bundle(REFUTED, "nodes", None)
@@ -453,7 +455,7 @@ def certify_witness(
         if report.kind != T1:
             stages.append(
                 StageResult(
-                    "t1", REFUTED, f"point {_format_point(point)}: {report.reason}"
+                    "t1", REFUTED, f"point {format_point(point)}: {report.reason}"
                 )
             )
             return bundle(REFUTED, "t1", None)
@@ -503,6 +505,8 @@ def certify_witness(
 
 _P3_VARS = ("x", "y", "z")
 _P4_VARS = ("x", "y", "z", "tau")
+#: Number of variables of each polynomial of a witness file.
+_WITNESS_ARITY = {"phi1": 3, "phi2": 3, "psi": 4, "projective": 4, "chartA": 3, "sB": 4}
 
 
 def witness_to_json(witness: SurfaceWitness, bundle: CertificateBundle | None = None) -> dict:
@@ -535,12 +539,10 @@ def witness_from_json(doc: dict) -> SurfaceWitness:
         d = int(doc["d"])
         seed = int(doc["seed"])
         lines = [MultiPoly.from_json(entry) for entry in doc["lines"]]
-        phi1 = MultiPoly.from_json(doc["phi1"])
-        phi2 = MultiPoly.from_json(doc["phi2"])
-        psi = MultiPoly.from_json(doc["psi"])
-        projective = MultiPoly.from_json(doc["projective"])
-        chart_a = MultiPoly.from_json(doc["chartA"])
-        sb = MultiPoly.from_json(doc["sB"])
+        polys = {key: MultiPoly.from_json(doc[key]) for key in _WITNESS_ARITY}
+        for key, arity in _WITNESS_ARITY.items():
+            if polys[key].arity != arity:
+                raise DataFormatError(f"{key} has {polys[key].arity} variables, not {arity}")
         stored_nodes = [
             tuple(parse_rational(str(x)) for x in p) for p in doc["nodes"]
         ]
@@ -556,10 +558,10 @@ def witness_from_json(doc: dict) -> SurfaceWitness:
         d=d,
         seed=seed,
         arrangement=arrangement,
-        phi1=phi1,
-        phi2=phi2,
-        psi=psi,
-        projective_equation=projective,
-        blowup_chart_a=chart_a,
-        sb_equation=sb,
+        phi1=polys["phi1"],
+        phi2=polys["phi2"],
+        psi=polys["psi"],
+        projective_equation=polys["projective"],
+        blowup_chart_a=polys["chartA"],
+        sb_equation=polys["sB"],
     )

@@ -178,30 +178,27 @@ def limit_hessian(p: MultiPoly) -> RatMatrix:
     p = x + y + (terms of degree >= 2).  The first column of B0 degenerates to
     (px*py, 0, 0) in the limit, the lower-right block is px**2/2 times the
     (z, u) Hessian, and the remaining first-row entries are the limits
-    (pyz - pxz)/2 and (pyu - pxu)/2 of the rescaled mixed terms.
+    (pyz - pxz)/2 and (pyu - pxu)/2 of the rescaled mixed terms.  The
+    partials at the origin (the linear and quadratic coefficients) come from
+    one pass over the terms.
     """
     if p.arity != 4:
         raise ValueError("normal form lives in 4 variables (x, y, z, u)")
-    origin = (0, 0, 0, 0)
-    if p.eval_at(origin) != 0:
+    value, (px, py, pz, pu), second = p.value_gradient_hessian((0, 0, 0, 0))
+    if value != 0:
         raise ValueError("normal form requires p(0) = 0")
-    grads = p.gradient()
-    px, py, pz, pu = (g.eval_at(origin) for g in grads)
     if px != 1 or py != 1 or pz != 0 or pu != 0:
         raise ValueError("normal form requires linear part x + y at the origin")
-    second = {
-        (i, j): grads[i].derive(j).eval_at(origin) for i in range(4) for j in range(4)
-    }
     half = Fraction(1, 2)
     return RatMatrix.from_rows(
         [
             [
                 px * py,
-                half * (second[(1, 2)] - second[(0, 2)]),
-                half * (second[(1, 3)] - second[(0, 3)]),
+                half * (second[1][2] - second[0][2]),
+                half * (second[1][3] - second[0][3]),
             ],
-            [0, half * px * px * second[(2, 2)], half * px * px * second[(2, 3)]],
-            [0, half * px * px * second[(2, 3)], half * px * px * second[(3, 3)]],
+            [0, half * px * px * second[2][2], half * px * px * second[2][3]],
+            [0, half * px * px * second[2][3], half * px * px * second[3][3]],
         ]
     )
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb, prod
 from typing import Iterator, Mapping, Sequence
 
 from .errors import ArityError, DataFormatError
@@ -34,12 +35,20 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise DataFormatError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise DataFormatError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as the interchange string ``"n"`` or ``"n/d"``."""
     return str(value)
+
+
+def format_point(point: Sequence) -> str:
+    """Render a rational point as ``"(n, n/d, ...)"``."""
+    return "(" + ", ".join(format_rational(x) for x in point) + ")"
 
 
 def grlex_key(exps: Monomial) -> tuple[int, Monomial]:
@@ -239,15 +248,75 @@ class MultiPoly:
             total += v
         return total
 
+    def value_gradient_hessian(
+        self, point: Sequence
+    ) -> tuple[Fraction, tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
+        """Exact value, gradient and Hessian at a rational point, in one pass.
+
+        A term c * prod(x_k**e_k) contributes c times the product of its
+        factors x_k**e_k, with the factor of variable i replaced by its first
+        derivative for the i-th partial, and by its second derivative (or the
+        factors of i and j by their first derivatives) for the (i, j) second
+        partial.  A factor is zero where x_k = 0 < e_k, so a term with more
+        than two such factors contributes nothing.
+        """
+        n = self.arity
+        if len(point) != n:
+            raise ArityError(f"point length {len(point)} does not match arity {n}")
+        pt = [Fraction(x) for x in point]
+        top = [0] * n
+        for e in self._terms:
+            top = [max(a, b) for a, b in zip(top, e)]
+        powers = [[x**m for m in range(t + 1)] for x, t in zip(pt, top)]
+        value = Fraction(0)
+        grad = [Fraction(0)] * n
+        hess = [[Fraction(0)] * n for _ in range(n)]
+        for e, c in self._terms.items():
+            f0 = [pw[m] for pw, m in zip(powers, e)]
+            zeros = {k for k, v in enumerate(f0) if not v}
+            if len(zeros) > 2:
+                continue
+            f1 = [m * pw[m - 1] if m else 0 for pw, m in zip(powers, e)]
+            if not zeros:
+                value += c * prod(f0)
+            for i, m in enumerate(e):
+                if m and zeros <= {i}:
+                    rest = c * prod(f0[k] for k in range(n) if k != i)
+                    grad[i] += f1[i] * rest
+                    if m > 1:
+                        hess[i][i] += m * (m - 1) * powers[i][m - 2] * rest
+                for j in range(i + 1, n):
+                    if f1[i] and f1[j] and zeros <= {i, j}:
+                        h = c * f1[i] * f1[j]
+                        h *= prod(f0[k] for k in range(n) if k != i and k != j)
+                        hess[i][j] += h
+                        hess[j][i] += h
+        return value, tuple(grad), tuple(tuple(row) for row in hess)
+
     def translate(self, point: Sequence) -> "MultiPoly":
-        """Recentre: returns q with q(v) = p(v + point)."""
+        """Recentre: returns q with q(v) = p(v + point).
+
+        A Taylor shift, one variable at a time: shifting x by a sends
+        x**k to the sum of C(k, j) * a**(k - j) * x**j over j = 0..k.
+        """
         if len(point) != self.arity:
             raise ArityError(f"point length {len(point)} does not match arity {self.arity}")
-        shifted = [
-            MultiPoly.variable(self.arity, i) + Fraction(point[i])
-            for i in range(self.arity)
-        ]
-        return self.compose(shifted)
+        terms: dict[Monomial, Fraction] = self._terms
+        for var, a in enumerate(point):
+            a = Fraction(a)
+            if not a:
+                continue
+            powers = [Fraction(1)]
+            shifted: dict[Monomial, Fraction] = {}
+            for e, c in terms.items():
+                k = e[var]
+                while len(powers) <= k:
+                    powers.append(powers[-1] * a)
+                for j in range(k + 1):
+                    e2 = e[:var] + (j,) + e[var + 1 :]
+                    shifted[e2] = shifted.get(e2, 0) + comb(k, j) * powers[k - j] * c
+            terms = shifted
+        return MultiPoly(self.arity, terms)
 
     def substitute(self, var: int, expr: "MultiPoly") -> "MultiPoly":
         """Substitute ``expr`` for variable ``var`` (other variables untouched)."""
@@ -410,7 +479,7 @@ class MultiPoly:
                 if base in index:
                     exps[index[base]] += exp
                 elif _RATIONAL_RE.match(base):
-                    coeff *= Fraction(base) ** exp
+                    coeff *= parse_rational(base) ** exp
                 else:
                     raise DataFormatError(f"unknown factor {factor!r} in {text!r}")
             result = result + cls(arity, {tuple(exps): coeff})
@@ -463,9 +532,9 @@ class MultiPoly:
             for entry in data["terms"]:
                 exps = tuple(int(v) for v in entry["e"])
                 terms[exps] = parse_rational(str(entry["c"]))
+            return cls(arity, terms)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"malformed polynomial document: {exc}") from exc
-        return cls(arity, terms)
 
 
 def poly(text: str, var_names: Sequence[str]) -> MultiPoly:

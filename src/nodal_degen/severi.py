@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import ArityError, DataFormatError, PointNotOnSurface, ToolkitError
 from .linalg import RatMatrix
-from .polynomials import MultiPoly, monomials_of_degree, parse_rational
+from .polynomials import MultiPoly, format_point, monomials_of_degree, parse_rational
 
 SPACES = ("p2", "p3", "ci4")
 
@@ -192,13 +192,17 @@ def condition_matrix(spec: SystemSpec, points: Sequence[Sequence]) -> ConditionM
     arity = spec.ambient_arity
     for p in pts:
         if len(p) != arity:
-            raise ArityError(f"point {p} does not match ambient arity {arity}")
+            raise ArityError(
+                f"point {format_point(p)} does not match ambient arity {arity}"
+            )
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points in the node set")
     if spec.space == "ci4" and spec.surface is not None:
         for p in pts:
             if spec.surface.eval_at(p) != 0:
-                raise PointNotOnSurface(f"point {p} is not on the ci4 surface")
+                raise PointNotOnSurface(
+                    f"point {format_point(p)} is not on the ci4 surface"
+                )
     basis = spec.monomial_basis()
     rows = []
     for p in pts:

@@ -17,7 +17,7 @@ from typing import Sequence
 from .errors import ArityError, GluingError, PointNotOnSurface
 from .groebner import default_degree_cap, groebner_basis
 from .linalg import RatMatrix
-from .polynomials import MultiPoly, format_rational
+from .polynomials import MultiPoly, format_point, format_rational
 
 SMOOTH = "Smooth"
 NODE_A1 = "NodeA1"
@@ -60,13 +60,7 @@ class SingularityReport:
 
 def hessian_matrix(f: MultiPoly, q: Sequence[Fraction]) -> RatMatrix:
     """Matrix of second partials of f evaluated at q."""
-    n = f.arity
-    grads = f.gradient()
-    rows = []
-    for i in range(n):
-        second = [grads[i].derive(j).eval_at(q) for j in range(n)]
-        rows.append(second)
-    return RatMatrix.from_rows(rows)
+    return RatMatrix.from_rows(f.value_gradient_hessian(q)[2])
 
 
 def classify_point(f: MultiPoly, q: Sequence) -> SingularityReport:
@@ -79,17 +73,16 @@ def classify_point(f: MultiPoly, q: Sequence) -> SingularityReport:
     if f.arity != 3:
         raise ArityError("classify_point expects a surface chart in 3 variables")
     point = tuple(Fraction(x) for x in q)
-    value = f.eval_at(point)
+    value, gradient, second = f.value_gradient_hessian(point)
     if value != 0:
         raise PointNotOnSurface(
-            f"point {point} not on surface (value {value})"
+            f"point {format_point(point)} not on surface (value {value})"
         )
-    gradient = tuple(g.eval_at(point) for g in f.gradient())
     if any(gradient):
         return SingularityReport(
             point, SMOOTH, witness={"value": value, "gradient": gradient}
         )
-    hess = hessian_matrix(f, point)
+    hess = RatMatrix.from_rows(second)
     rank = hess.rank()
     if rank == 3:
         return SingularityReport(
@@ -116,15 +109,16 @@ def curve_double_point(curve: MultiPoly, p: Sequence) -> SingularityReport:
     if curve.arity != 2:
         raise ArityError("curve_double_point expects a plane curve in 2 variables")
     point = tuple(Fraction(x) for x in p)
-    value = curve.eval_at(point)
+    value, gradient, second = curve.value_gradient_hessian(point)
     if value != 0:
-        raise PointNotOnSurface(f"point {point} not on curve (value {value})")
-    gradient = tuple(g.eval_at(point) for g in curve.gradient())
+        raise PointNotOnSurface(
+            f"point {format_point(point)} not on curve (value {value})"
+        )
     if any(gradient):
         return SingularityReport(
             point, SMOOTH, witness={"value": value, "gradient": gradient}
         )
-    hess = hessian_matrix(curve, point)
+    hess = RatMatrix.from_rows(second)
     det = hess.det()
     if det != 0:
         return SingularityReport(
@@ -190,7 +184,7 @@ def certify_t1(spec: S0Spec, p: Sequence) -> SingularityReport:
     curve = spec.curve_a()
     value = curve.eval_at(point)
     if value != 0:
-        raise PointNotOnSurface(f"point {point} not on C (value {value})")
+        raise PointNotOnSurface(f"point {format_point(point)} not on C (value {value})")
     q3 = (Fraction(0),) + point
     grad_a = tuple(g.eval_at(q3) for g in spec.g_a.gradient())
     grad_b = tuple(g.eval_at(q3) for g in spec.g_b.gradient())
@@ -447,8 +441,7 @@ def _extract_points(basis, arity: int):
 
 def _format_points(points) -> str:
     """Sorted points as text, e.g. ``[(1/2, 0, 0), (12, 1, 1)]``."""
-    shown = (", ".join(format_rational(x) for x in p) for p in sorted(points))
-    return "[" + ", ".join(f"({body})" for body in shown) + "]"
+    return "[" + ", ".join(format_point(p) for p in sorted(points)) + "]"
 
 
 def exclude_extra_singularities(

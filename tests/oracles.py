@@ -1,7 +1,9 @@
 """Slow, independent reference computations that the tests check the library
 against: rational S-polynomials and multivariate division, a plain Buchberger
 algorithm built on them, an exhaustive minor-search rank, a Gauss-Jordan
-solver over Fraction, and rational roots by the rational root theorem."""
+solver over Fraction, rational roots by the rational root theorem, the
+recentring of a polynomial by generic composition, and values, gradients,
+Hessians and the limit Hessian through derivative polynomials."""
 
 from __future__ import annotations
 
@@ -199,3 +201,50 @@ def rational_roots_by_divisors(coeffs: Sequence[Fraction]) -> list[Fraction] | N
             quot.append(acc)
         ints = _integer_multiple(quot[:-1][::-1])  # drop the remainder (zero)
     return roots
+
+
+def translate_by_compose(p: MultiPoly, point: Sequence) -> MultiPoly:
+    """q with q(v) = p(v + point), by substituting v_i + point_i for every v_i."""
+    shifted = [
+        MultiPoly.variable(p.arity, i) + Fraction(point[i]) for i in range(p.arity)
+    ]
+    return p.compose(shifted)
+
+
+def value_gradient_hessian_by_derivatives(f: MultiPoly, q: Sequence):
+    """(value, gradient, Hessian) at q from derivative polynomials built in full."""
+    grads = f.gradient()
+    return (
+        f.eval_at(q),
+        tuple(g.eval_at(q) for g in grads),
+        tuple(tuple(g.derive(j).eval_at(q) for j in range(f.arity)) for g in grads),
+    )
+
+
+def limit_hessian_by_derivatives(p: MultiPoly) -> RatMatrix:
+    """The limit Hessian B0 of a 4-variable normal form x + y + (degree >= 2),
+    with every partial at the origin read from a derivative polynomial."""
+    if p.arity != 4:
+        raise ValueError("normal form lives in 4 variables (x, y, z, u)")
+    origin = (0, 0, 0, 0)
+    if p.eval_at(origin) != 0:
+        raise ValueError("normal form requires p(0) = 0")
+    grads = p.gradient()
+    px, py, pz, pu = (g.eval_at(origin) for g in grads)
+    if px != 1 or py != 1 or pz != 0 or pu != 0:
+        raise ValueError("normal form requires linear part x + y at the origin")
+    second = {
+        (i, j): grads[i].derive(j).eval_at(origin) for i in range(4) for j in range(4)
+    }
+    half = Fraction(1, 2)
+    return RatMatrix.from_rows(
+        [
+            [
+                px * py,
+                half * (second[(1, 2)] - second[(0, 2)]),
+                half * (second[(1, 3)] - second[(0, 3)]),
+            ],
+            [0, half * px * px * second[(2, 2)], half * px * px * second[(2, 3)]],
+            [0, half * px * px * second[(2, 3)], half * px * px * second[(3, 3)]],
+        ]
+    )

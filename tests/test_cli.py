@@ -1,10 +1,16 @@
 """Exit codes, JSON schema stability, and file handling of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nodal_degen
 from nodal_degen import cli
+from nodal_degen.constructions import build_witness, witness_to_json
 from nodal_degen.polynomials import poly
 
 
@@ -189,3 +195,224 @@ def test_construct_determinism(tmp_path):
     da, db = json.loads(a.read_text()), json.loads(b.read_text())
     da.pop("manifest"); db.pop("manifest")
     assert da == db
+
+
+# ----------------------------------------------------- one parser per process
+
+
+def test_build_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _fresh_process_stdout(argv):
+    """stdout of the CLI in a new interpreter, so with a newly built parser."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nodal_degen.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nodal_degen.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_reused_parser_gives_the_output_of_a_fresh_one(tmp_path, capsys):
+    normal_form = tmp_path / "p.json"
+    p = poly("x + y + 3/2*x*z - z**2 + 5*z*u + u**3", ("x", "y", "z", "u"))
+    normal_form.write_text(json.dumps(p.to_json(("x", "y", "z", "u"))))
+    calls = [["deform-check", "--t=-9/4"], ["hessian-limit", "--poly", str(normal_form)]]
+    expected = [_fresh_process_stdout(argv) for argv in calls]
+    for disturbance, code in ((["deform-check", "--t=x"], 64), (["--version"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(disturbance)
+        assert exc.value.code == code
+        capsys.readouterr()
+        for argv, want in zip(calls, expected):
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == want
+
+
+# ------------------------------------------------------ malformed rationals
+
+
+def test_deform_check_zero_denominator_is_a_usage_error(capsys):
+    for flag in ("--t=1/0", "--t=-1/0"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["deform-check", flag])
+        assert exc.value.code == 64
+        assert "argument --t: not a rational number" in capsys.readouterr().err
+
+
+def test_regularity_zero_denominator_exits_65(tmp_path, capsys):
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({"space": "p2", "d": 1}))
+    points = tmp_path / "pts.json"
+    points.write_text(json.dumps({"points": [["0", "1/0", "1"]]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["regularity", "--system", str(system), "--points", str(points)])
+    assert exc.value.code == 65
+    assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
+def test_hessian_limit_zero_denominator_exits_65(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    doc = {"arity": 4, "terms": [{"e": [1, 0, 0, 0], "c": "1"}, {"e": [0, 0, 1, 1], "c": "1/0"}]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hessian-limit", "--poly", str(path)])
+    assert exc.value.code == 65
+    assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
+def test_certify_zero_denominator_exits_65(tmp_path, capsys):
+    doc = witness_to_json(build_witness(3, 1))
+    doc["phi2"]["terms"][0]["c"] = "1/0"
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certify", str(path)])
+    assert exc.value.code == 65
+    assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, text",
+    [
+        ({"arity": 4, "terms": [{"e": [1, 0, 0, -1], "c": "1"}]}, "negative exponent"),
+        ({"arity": 4, "terms": [{"e": [1, 0, 0], "c": "1"}]}, "does not match arity 4"),
+        ({"arity": -1, "terms": []}, "arity must be nonnegative"),
+    ],
+    ids=["negative-exponent", "exponent-length", "negative-arity"],
+)
+def test_hessian_limit_malformed_polynomial_exits_65(tmp_path, capsys, doc, text):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hessian-limit", "--poly", str(path)])
+    assert exc.value.code == 65
+    err = capsys.readouterr().err
+    assert "malformed polynomial document" in err and text in err
+
+
+# ---------------------------------------------------- malformed-input sweep
+
+_NORMAL_FORM = {"arity": 4, "terms": [{"e": [1, 0, 0, 0], "c": "1"}, {"e": [0, 1, 0, 0], "c": "1"}]}
+_P2_LINE = {"space": "p2", "d": 1}
+_POINTS = {"points": [["0", "0", "1"]]}
+
+
+def _with(doc, **changes):
+    out = dict(doc, **changes)
+    return {k: v for k, v in out.items() if v is not None}
+
+
+def _term(e, c="1"):
+    return {"e": e, "c": c}
+
+
+def _witness(**changes):
+    """A valid witness document with some keys replaced (None deletes a key)."""
+    return lambda witness: _with(witness, **changes)
+
+
+# (argv with {placeholders} for files, file contents, expected exit code); a
+# file content is a JSON document, raw text (str), or a function of a valid
+# witness document
+_MALFORMED = {
+    "deform-check:zero-denominator": (["deform-check", "--t=1/0"], {}, 64),
+    "deform-check:negative-zero-denominator": (["deform-check", "--t=-1/0"], {}, 64),
+    "deform-check:zero-over-zero": (["deform-check", "--t=0/0"], {}, 64),
+    "deform-check:not-a-rational": (["deform-check", "--t=1/2/3"], {}, 64),
+    "deform-check:missing-flag": (["deform-check"], {}, 64),
+    "hessian-limit:zero-denominator": (
+        ["hessian-limit", "--poly", "{p}"],
+        {"p": _with(_NORMAL_FORM, terms=[_term([1, 0, 0, 0], "1/0")])}, 65,
+    ),
+    "hessian-limit:negative-exponent": (
+        ["hessian-limit", "--poly", "{p}"],
+        {"p": _with(_NORMAL_FORM, terms=[_term([1, 0, -2, 0])])}, 65,
+    ),
+    "hessian-limit:exponent-length": (
+        ["hessian-limit", "--poly", "{p}"],
+        {"p": _with(_NORMAL_FORM, terms=[_term([1, 0, 0, 0, 0])])}, 65,
+    ),
+    "hessian-limit:negative-arity": (
+        ["hessian-limit", "--poly", "{p}"], {"p": {"arity": -1, "terms": []}}, 65,
+    ),
+    "hessian-limit:wrong-arity": (
+        ["hessian-limit", "--poly", "{p}"],
+        {"p": {"arity": 3, "terms": [_term([1, 0, 0]), _term([0, 1, 0])]}}, 65,
+    ),
+    "hessian-limit:not-json": (["hessian-limit", "--poly", "{p}"], {"p": "{not json"}, 65),
+    "hessian-limit:missing-terms": (
+        ["hessian-limit", "--poly", "{p}"], {"p": {"arity": 4}}, 65,
+    ),
+    "hessian-limit:missing-file": (["hessian-limit", "--poly", "{absent}"], {}, 65),
+    "regularity:zero-denominator": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": _P2_LINE, "p": {"points": [["1/0", "0", "1"]]}}, 65,
+    ),
+    "regularity:wrong-arity": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": _P2_LINE, "p": {"points": [["1", "2"]]}}, 65,
+    ),
+    "regularity:points-not-json": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": _P2_LINE, "p": "points"}, 65,
+    ),
+    "regularity:missing-points": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": _P2_LINE, "p": {"pts": []}}, 65,
+    ),
+    "regularity:missing-space": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": {"d": 1}, "p": _POINTS}, 65,
+    ),
+    "regularity:surface-negative-exponent": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": {"space": "ci4", "d": 3, "h": 2,
+               "surface": {"arity": 4, "terms": [_term([1, 1, 0, -1])]}},
+         "p": {"points": [["0", "0", "0", "1"]]}}, 65,
+    ),
+    "regularity:surface-zero-denominator": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": {"space": "ci4", "d": 3, "h": 2,
+               "surface": {"arity": 4, "terms": [_term([1, 1, 0, 0], "-1/0")]}},
+         "p": {"points": [["0", "0", "0", "1"]]}}, 65,
+    ),
+    "certify:zero-denominator": (
+        ["certify", "{w}"], {"w": _witness(nodes=[["1/0", "0", "1"]])}, 65,
+    ),
+    "certify:negative-exponent": (
+        ["certify", "{w}"], {"w": _witness(phi2={"arity": 3, "terms": [_term([3, 1, -1])]})}, 65,
+    ),
+    "certify:wrong-arity": (
+        ["certify", "{w}"], {"w": _witness(chartA={"arity": 2, "terms": [_term([2, 0])]})}, 65,
+    ),
+    "certify:wrong-arity-sB": (
+        ["certify", "{w}"], {"w": _witness(sB={"arity": 3, "terms": [_term([2, 0, 0])]})}, 65,
+    ),
+    "certify:not-json": (["certify", "{w}"], {"w": "[1, 2"}, 65),
+    "certify:missing-key": (["certify", "{w}"], {"w": _witness(sB=None)}, 65),
+    "construct:not-an-integer": (["construct", "--d", "x", "--out", "{out}"], {}, 64),
+    "bounds:not-an-integer": (["bounds", "--space", "p3", "--d", "q"], {}, 64),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_witness():
+    return witness_to_json(build_witness(3, 1))
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_exits_64_or_65(case, tmp_path, valid_witness):
+    argv, files, code = _MALFORMED[case]
+    paths = {"absent": str(tmp_path / "absent.json"), "out": str(tmp_path / "out.json")}
+    for name, content in files.items():
+        if callable(content):
+            content = content(valid_witness)
+        path = tmp_path / f"{name}.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        paths[name] = str(path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == code

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodal_degen.degeneration import (
     FIBRE,
@@ -20,8 +22,9 @@ from nodal_degen.degeneration import (
     verify_t1_to_node,
 )
 from nodal_degen.linalg import RatMatrix
-from nodal_degen.polynomials import MultiPoly, poly
+from nodal_degen.polynomials import MultiPoly, monomials_of_degree, poly
 from nodal_degen.singularities import NODE_A1
+from oracles import limit_hessian_by_derivatives
 
 YZU = ("y", "z", "u")
 XYZU = ("x", "y", "z", "u")
@@ -158,6 +161,47 @@ def test_limit_hessian_randomized_sweep():
             terms[(0, 0, 3, 0)] = Fraction(rng.randint(-5, 5))
         res = hessian_limit_check(MultiPoly(4, terms))
         assert res.verdict == "Verified", res.to_json()
+
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def near_normal_forms(draw):
+    """4-variable polynomials of degree <= 4, mostly in the normal form
+    x + y + (degree >= 2), sometimes off it in the constant or linear part."""
+    terms = {(1, 0, 0, 0): Fraction(1), (0, 1, 0, 0): Fraction(1)}
+    for degree in range(2, 5):
+        for e in draw(st.lists(st.sampled_from(list(monomials_of_degree(4, degree))), max_size=6)):
+            terms[e] = draw(small_rationals)
+    if draw(st.integers(0, 3)) == 0:
+        e = draw(st.sampled_from([(0, 0, 0, 0), *monomials_of_degree(4, 1)]))
+        terms[e] = draw(small_rationals)
+    return MultiPoly(4, terms)
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=150)
+@given(near_normal_forms())
+def test_limit_hessian_matches_derivative_oracle(p):
+    assert _outcome(limit_hessian, p) == _outcome(limit_hessian_by_derivatives, p)
+
+
+def test_limit_hessian_guards_match_derivative_oracle():
+    for text, names in (("x + y + z*u", XYZU), ("x + y", ("x", "y")), ("x + y + z", XYZU[:3])):
+        p = poly(text, names)
+        assert _outcome(limit_hessian, p) == _outcome(limit_hessian_by_derivatives, p)
+    for bad in ("x + 2*y + z**2", "x + y + z + u**2", "1 + x + y", "x + y - u + z*u"):
+        p = poly(bad, XYZU)
+        got = _outcome(limit_hessian, p)
+        assert got.startswith("ValueError: normal form requires")
+        assert got == _outcome(limit_hessian_by_derivatives, p)
 
 
 # ------------------------------------------------------------- F0 arithmetic

@@ -10,9 +10,12 @@ from nodal_degen.errors import ArityError, DataFormatError
 from nodal_degen.polynomials import (
     MINUS_INFINITY,
     MultiPoly,
+    format_point,
     monomials_of_degree,
+    parse_rational,
     poly,
 )
+from oracles import translate_by_compose, value_gradient_hessian_by_derivatives
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -158,6 +161,56 @@ def test_parse_rejects_garbage():
         poly("", XY)
 
 
+def test_zero_denominator_is_a_data_format_error():
+    for text in ("1/0", "-1/0", "0/0", "+7/00"):
+        with pytest.raises(DataFormatError, match="zero denominator"):
+            parse_rational(text)
+    with pytest.raises(DataFormatError):
+        poly("1/0*x + y", XY)
+    assert parse_rational("-3/6") == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"arity": 2, "terms": [{"e": [1, -1], "c": "1"}]},  # negative exponent
+        {"arity": 2, "terms": [{"e": [1, 0, 0], "c": "1"}]},  # too many exponents
+        {"arity": 2, "terms": [{"e": [1], "c": "1"}]},  # too few exponents
+        {"arity": -1, "terms": []},
+        {"arity": 2, "terms": [{"e": [1, 0], "c": "1/0"}]},
+        {"arity": 2, "terms": [{"e": [1, 0]}]},
+        {"terms": []},
+        {"arity": 2},
+        ["not", "a", "document"],
+    ],
+)
+def test_from_json_malformed_is_a_data_format_error(doc):
+    with pytest.raises(DataFormatError, match="malformed polynomial document"):
+        MultiPoly.from_json(doc)
+
+
+def test_format_point():
+    assert format_point((Fraction(1), Fraction(-1, 8), 0)) == "(1, -1/8, 0)"
+    assert format_point(()) == "()"
+
+
+def test_value_gradient_hessian_examples():
+    p = poly("x**2*y - 3*y**3 + 1/2*x + 5", XY)
+    value, grad, hess = p.value_gradient_hessian((2, -1))
+    assert value == -4 - 3 * (-1) ** 3 + 1 + 5
+    assert grad == (2 * 2 * -1 + Fraction(1, 2), 4 - 9)
+    assert hess == ((-2, 4), (4, 18))
+    # at a zero coordinate: a square contributes to the Hessian only
+    assert poly("x**2", XY).value_gradient_hessian((0, 7)) == (0, (0, 0), ((2, 0), (0, 0)))
+    assert poly("x*y*z", XYZ).value_gradient_hessian((0, 0, 3)) == (
+        0, (0, 0, 0), ((0, 3, 0), (3, 0, 0), (0, 0, 0))
+    )
+    assert poly("x**3*y", XY).value_gradient_hessian((0, 0)) == (0, (0, 0), ((0, 0), (0, 0)))
+    assert MultiPoly.const(0, 4).value_gradient_hessian(()) == (4, (), ())
+    with pytest.raises(ArityError):
+        poly("x", XY).value_gradient_hessian((1,))
+
+
 def test_monomials_of_degree_count():
     assert len(list(monomials_of_degree(3, 4))) == 15
     assert list(monomials_of_degree(2, 1)) == [(1, 0), (0, 1)]
@@ -207,6 +260,44 @@ def test_mixed_partials_commute(p):
 def test_translate_matches_eval(p, q):
     point = [Fraction(x) for x in q]
     assert p.translate(point).eval_at([0, 0, 0]) == p.eval_at(point)
+
+
+@st.composite
+def polys_of_total_degree(draw, max_degree=6, max_terms=8):
+    """A polynomial in 1 to 4 variables of total degree at most max_degree."""
+    arity = draw(st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        budget = draw(st.integers(0, max_degree))
+        exps = []
+        for _ in range(arity):
+            exps.append(draw(st.integers(0, budget)))
+            budget -= exps[-1]
+        coeff = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+        terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
+    return MultiPoly(arity, terms)
+
+
+rationals_with_zero = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=150)
+@given(polys_of_total_degree(), st.data())
+def test_translate_matches_compose_oracle(p, data):
+    point = data.draw(st.lists(rationals_with_zero, min_size=p.arity, max_size=p.arity))
+    assert p.translate(point) == translate_by_compose(p, point)
+
+
+@settings(max_examples=150)
+@given(polys_of_total_degree(), st.data())
+def test_value_gradient_hessian_matches_derivative_oracle(p, data):
+    point = data.draw(st.lists(rationals_with_zero, min_size=p.arity, max_size=p.arity))
+    value, grad, hess = p.value_gradient_hessian(point)
+    assert (value, grad, hess) == value_gradient_hessian_by_derivatives(p, point)
+    assert all(type(x) is Fraction for x in (value, *grad, *sum(hess, ())))
 
 
 @settings(max_examples=40)

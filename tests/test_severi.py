@@ -130,6 +130,16 @@ def test_point_off_surface_rejected():
         condition_matrix(spec, [(1, 1, 1, 0)])
 
 
+def test_condition_matrix_messages_are_readable():
+    spec = SystemSpec("ci4", 3, 2, surface=poly("x*y - z*w", XYZW))
+    with pytest.raises(PointNotOnSurface) as err:
+        condition_matrix(spec, [(2, 2, 2, Fraction(1, 3))])
+    assert str(err.value) == "point (1, 1, 1, 1/6) is not on the ci4 surface"
+    with pytest.raises(ArityError) as err:
+        condition_matrix(SystemSpec("p3", 2), [(1, Fraction(1, 2), 0)])
+    assert str(err.value) == "point (1, 1/2, 0) does not match ambient arity 4"
+
+
 def test_empty_node_set_is_vacuously_regular():
     r = independence_rank(condition_matrix(SystemSpec("p2", 2), []))
     assert r.rank == 0 and r.regular and r.delta == 0

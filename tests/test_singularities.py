@@ -25,6 +25,7 @@ from nodal_degen.singularities import (
     certify_node_set,
     certify_t1,
     classify_point,
+    curve_double_point,
     exclude_extra_singularities,
     hessian_matrix,
 )
@@ -74,6 +75,18 @@ def test_point_off_surface_is_an_error():
         classify_point(poly("s**2 + v**2 + w**2", SVW), (1, 0, 0))
     with pytest.raises(ArityError):
         classify_point(poly("x + y", ("x", "y")), (0, 0))
+
+
+def test_point_off_surface_messages_are_readable():
+    with pytest.raises(PointNotOnSurface) as err:
+        classify_point(poly("s**2 + v**2 + w**2", SVW), (Fraction(1, 2), 0, -1))
+    assert str(err.value) == "point (1/2, 0, -1) not on surface (value 5/4)"
+    with pytest.raises(PointNotOnSurface) as err:
+        curve_double_point(poly("z*u - 1", ("z", "u")), (3, Fraction(-1, 8)))
+    assert str(err.value) == "point (3, -1/8) not on curve (value -11/8)"
+    with pytest.raises(PointNotOnSurface) as err:
+        certify_t1(_spec("y + z*u", "x + z*u"), (Fraction(2, 3), 1))
+    assert str(err.value) == "point (2/3, 1) not on C (value 2/3)"
 
 
 def test_report_json_shape():
