@@ -41,6 +41,14 @@ def parse_rational(text: str) -> Fraction:
         raise DataFormatError(f"zero denominator in {text!r}") from None
 
 
+def json_int(value, name: str) -> int:
+    """An integer field of a JSON document; a float, boolean or string raises
+    TypeError instead of being truncated or parsed."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as the interchange string ``"n"`` or ``"n/d"``."""
     return str(value)
@@ -527,10 +535,10 @@ class MultiPoly:
     @classmethod
     def from_json(cls, data: dict) -> "MultiPoly":
         try:
-            arity = int(data["arity"])
+            arity = json_int(data["arity"], "arity")
             terms = {}
             for entry in data["terms"]:
-                exps = tuple(int(v) for v in entry["e"])
+                exps = tuple(json_int(v, "exponent") for v in entry["e"])
                 terms[exps] = parse_rational(str(entry["c"]))
             return cls(arity, terms)
         except (KeyError, TypeError, ValueError) as exc:

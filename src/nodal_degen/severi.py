@@ -14,12 +14,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import accumulate, repeat
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import ArityError, DataFormatError, PointNotOnSurface, ToolkitError
 from .linalg import RatMatrix
-from .polynomials import MultiPoly, format_point, monomials_of_degree, parse_rational
+from .polynomials import (
+    MultiPoly,
+    format_point,
+    json_int,
+    monomials_of_degree,
+    parse_rational,
+)
 
 SPACES = ("p2", "p3", "ci4")
 
@@ -75,8 +83,8 @@ class SystemSpec:
     def from_json(cls, doc: dict) -> "SystemSpec":
         try:
             space = str(doc["space"])
-            d = int(doc["d"])
-            h = int(doc["h"]) if "h" in doc and doc["h"] is not None else None
+            d = json_int(doc["d"], "d")
+            h = json_int(doc["h"], "h") if doc.get("h") is not None else None
             surface = (
                 MultiPoly.from_json(doc["surface"]) if doc.get("surface") else None
             )
@@ -173,9 +181,27 @@ def canonical_point(coords: Sequence) -> tuple[Fraction, ...]:
     return tuple(x / pivot for x in pt)
 
 
+def primitive_integer_point(point: Sequence[Fraction]) -> list[int]:
+    """Coprime integer coordinates of a rational point, same sign pattern.
+
+    Clearing the denominators (times their lcm) and dividing by the gcd of
+    the results gives the primitive representative; for a canonical point
+    its first nonzero coordinate stays positive.
+    """
+    scale = lcm(*(x.denominator for x in point))
+    ints = [x.numerator * (scale // x.denominator) for x in point]
+    g = gcd(*ints)
+    return [v // g for v in ints]
+
+
 @dataclass(frozen=True)
 class ConditionMatrix:
-    """Evaluation matrix of the system's monomial basis at a node set."""
+    """Evaluation matrix of the system's monomial basis at a node set.
+
+    Row i is the basis evaluated at the primitive integer representative of
+    ``points[i]``: a positive multiple of its values at the canonical point,
+    and the same integer row the rank routines would rescale those to.
+    """
 
     system: SystemSpec
     points: tuple[tuple[Fraction, ...], ...]
@@ -187,6 +213,8 @@ def condition_matrix(spec: SystemSpec, points: Sequence[Sequence]) -> ConditionM
 
     Points must be pairwise distinct after canonical scaling; for ci4 systems
     carrying a membership surface, every point must lie on that surface.
+    Entries are integers: products of the coordinate powers of each point's
+    primitive integer representative.
     """
     pts = [canonical_point(p) for p in points]
     arity = spec.ambient_arity
@@ -204,15 +232,17 @@ def condition_matrix(spec: SystemSpec, points: Sequence[Sequence]) -> ConditionM
                     f"point {format_point(p)} is not on the ci4 surface"
                 )
     basis = spec.monomial_basis()
+    # one exponent column per variable, in basis order
+    first, *rest = zip(*basis)
     rows = []
     for p in pts:
-        row = []
-        for mono in basis:
-            v = Fraction(1)
-            for x, k in zip(p, mono):
-                if k:
-                    v *= x**k
-            row.append(v)
+        powers = [
+            list(accumulate(repeat(x, spec.d), mul, initial=1))
+            for x in primitive_integer_point(p)
+        ]
+        row = [powers[0][k] for k in first]
+        for table, column in zip(powers[1:], rest):
+            row = [v * table[k] for v, k in zip(row, column)]
         rows.append(row)
     matrix = (
         RatMatrix.from_rows(rows)
@@ -299,9 +329,8 @@ def t1_codimension(local_equations: Sequence[MultiPoly]) -> T1CodimensionReport:
     for g in local_equations:
         if g.arity != 4:
             raise ArityError("local equations live in 4 variables (x, y, z, u)")
-        cols.append(
-            [g.eval_at(origin), g.derive(2).eval_at(origin), g.derive(3).eval_at(origin)]
-        )
+        value, grad, _ = g.value_gradient_hessian(origin)
+        cols.append([value, grad[2], grad[3]])
     matrix = RatMatrix.from_rows(
         [[col[i] for col in cols] for i in range(3)]
     )
@@ -319,6 +348,9 @@ def parse_points(doc: dict) -> list[tuple[Fraction, ...]]:
     """Read the points file format {"points": [["0","0","1"], ...]}."""
     try:
         raw = doc["points"]
+        for entry in raw:
+            if not isinstance(entry, list):
+                raise TypeError(f"point {entry!r} is not a list of coordinates")
         return [tuple(parse_rational(str(x)) for x in entry) for entry in raw]
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"malformed points document: {exc}") from exc

@@ -2,8 +2,9 @@
 against: rational S-polynomials and multivariate division, a plain Buchberger
 algorithm built on them, an exhaustive minor-search rank, a Gauss-Jordan
 solver over Fraction, rational roots by the rational root theorem, the
-recentring of a polynomial by generic composition, and values, gradients,
-Hessians and the limit Hessian through derivative polynomials."""
+recentring of a polynomial by generic composition, values, gradients,
+Hessians and the limit Hessian through derivative polynomials, and condition
+matrix rows evaluated in Fraction arithmetic."""
 
 from __future__ import annotations
 
@@ -248,3 +249,21 @@ def limit_hessian_by_derivatives(p: MultiPoly) -> RatMatrix:
             [0, half * px * px * second[(2, 3)], half * px * px * second[(3, 3)]],
         ]
     )
+
+
+def condition_rows_by_fractions(
+    basis: Sequence[Monomial], points: Sequence[Sequence]
+) -> list[list[Fraction]]:
+    """Each monomial of the basis evaluated at each point as given, entry by
+    entry in Fraction arithmetic."""
+    rows = []
+    for p in points:
+        row = []
+        for mono in basis:
+            v = Fraction(1)
+            for x, k in zip(p, mono):
+                if k:
+                    v *= Fraction(x) ** k
+            row.append(v)
+        rows.append(row)
+    return rows

@@ -342,6 +342,13 @@ _MALFORMED = {
         ["hessian-limit", "--poly", "{p}"],
         {"p": {"arity": 3, "terms": [_term([1, 0, 0]), _term([0, 1, 0])]}}, 65,
     ),
+    "hessian-limit:float-exponent": (
+        ["hessian-limit", "--poly", "{p}"],
+        {"p": _with(_NORMAL_FORM, terms=_NORMAL_FORM["terms"] + [_term([0, 0, 1.7, True])])}, 65,
+    ),
+    "hessian-limit:float-arity": (
+        ["hessian-limit", "--poly", "{p}"], {"p": _with(_NORMAL_FORM, arity=4.9)}, 65,
+    ),
     "hessian-limit:not-json": (["hessian-limit", "--poly", "{p}"], {"p": "{not json"}, 65),
     "hessian-limit:missing-terms": (
         ["hessian-limit", "--poly", "{p}"], {"p": {"arity": 4}}, 65,
@@ -354,6 +361,26 @@ _MALFORMED = {
     "regularity:wrong-arity": (
         ["regularity", "--system", "{s}", "--points", "{p}"],
         {"s": _P2_LINE, "p": {"points": [["1", "2"]]}}, 65,
+    ),
+    "regularity:point-is-a-string": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": _P2_LINE, "p": {"points": ["123"]}}, 65,
+    ),
+    "regularity:point-is-an-object": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": {"space": "p3", "d": 1}, "p": {"points": [{"1": 0, "2": 0, "3": 0, "4": 0}]}}, 65,
+    ),
+    "regularity:float-degree": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": {"space": "p2", "d": 8.7}, "p": _POINTS}, 65,
+    ),
+    "regularity:boolean-degree": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": {"space": "p2", "d": True}, "p": _POINTS}, 65,
+    ),
+    "regularity:float-h": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": {"space": "ci4", "d": 3, "h": 2.5}, "p": {"points": [["0", "0", "0", "1"]]}}, 65,
     ),
     "regularity:points-not-json": (
         ["regularity", "--system", "{s}", "--points", "{p}"],

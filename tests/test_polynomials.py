@@ -177,6 +177,10 @@ def test_zero_denominator_is_a_data_format_error():
         {"arity": 2, "terms": [{"e": [1, 0, 0], "c": "1"}]},  # too many exponents
         {"arity": 2, "terms": [{"e": [1], "c": "1"}]},  # too few exponents
         {"arity": -1, "terms": []},
+        {"arity": 2, "terms": [{"e": [1.7, True], "c": "1"}]},  # float, boolean
+        {"arity": 2, "terms": [{"e": ["1", 0], "c": "1"}]},  # string exponent
+        {"arity": 2.9, "terms": []},
+        {"arity": True, "terms": []},
         {"arity": 2, "terms": [{"e": [1, 0], "c": "1/0"}]},
         {"arity": 2, "terms": [{"e": [1, 0]}]},
         {"terms": []},

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodal_degen.errors import ArityError, DataFormatError, PointNotOnSurface
+from nodal_degen.linalg import RatMatrix
 from nodal_degen.polynomials import MultiPoly, monomials_of_degree, poly
 from nodal_degen.severi import (
     SystemSpec,
@@ -17,9 +18,11 @@ from nodal_degen.severi import (
     linear_system_dim,
     max_regular_delta,
     parse_points,
+    primitive_integer_point,
     restricted_dim_oracle,
     t1_codimension,
 )
+from oracles import condition_rows_by_fractions
 
 XYZW = ("x", "y", "z", "w")
 
@@ -165,6 +168,68 @@ def test_rank_invariances(data):
     assert (r2.rank, r2.regular) == (base.rank, base.regular)
 
 
+def _assert_rows_match_fraction_oracle(spec: SystemSpec, points):
+    cm = condition_matrix(spec, points)
+    oracle = RatMatrix.from_rows(
+        condition_rows_by_fractions(spec.monomial_basis(), cm.points)
+    )
+    assert cm.matrix.to_rows() == oracle._int_rows()[0]
+    report = independence_rank(cm)
+    assert report.rank == oracle.rank()
+    assert report.modular_rank == oracle.rank_mod()
+    return report
+
+
+_MERSENNE = 2**31 - 1
+
+_coordinates = st.builds(
+    Fraction,
+    st.integers(-12, 12),
+    st.one_of(st.integers(1, 12), st.just(_MERSENNE)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_integer_rows_match_the_fraction_oracle(data):
+    space = data.draw(st.sampled_from(["p2", "p3", "ci4"]))
+    if space == "ci4":
+        h = data.draw(st.integers(2, 3))
+        spec = SystemSpec(
+            "ci4", data.draw(st.integers(h - 1, 5)), h, poly("x*y - z*w", XYZW)
+        )
+    else:
+        spec = SystemSpec(space, data.draw(st.integers(0, 6 if space == "p2" else 5)))
+    seen = set()
+    points = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        if space == "ci4":  # Segre points (ac, bd, ad, bc) lie on x*y = z*w
+            a, b, c, d = (data.draw(_coordinates) for _ in range(4))
+            p = (a * c, b * d, a * d, b * c)
+        else:
+            p = tuple(data.draw(_coordinates) for _ in range(spec.ambient_arity))
+        if any(p) and canonical_point(p) not in seen:
+            seen.add(canonical_point(p))
+            points.append(p)
+    _assert_rows_match_fraction_oracle(spec, points)
+
+
+def test_integer_rows_with_word_size_denominators():
+    eps = Fraction(1, _MERSENNE)
+    points = [(1, eps, 0, -eps), (0, -2, Fraction(5, _MERSENNE), 1), (3, 0, 0, 1)]
+    report = _assert_rows_match_fraction_oracle(SystemSpec("p3", 4), points)
+    assert report.regular
+    segre = [(1, 0, eps, 0), (eps, -eps, eps * eps, -1), (0, 0, 0, 1)]
+    spec = SystemSpec("ci4", 3, 2, poly("x*y - z*w", XYZW))
+    assert _assert_rows_match_fraction_oracle(spec, segre).regular
+
+
+def test_primitive_integer_point():
+    assert primitive_integer_point((1, Fraction(-2, 3), 0)) == [3, -2, 0]
+    assert primitive_integer_point((Fraction(2), 4, -6)) == [1, 2, -3]
+    assert primitive_integer_point((0, Fraction(1, 2), Fraction(-1, 4))) == [0, 2, -1]
+
+
 def _local_monomial_basis(max_degree: int):
     basis = []
     for deg in range(max_degree + 1):
@@ -223,6 +288,20 @@ def test_points_file_round_trip():
         parse_points({"wrong": []})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"points": ["123"]},
+        {"points": [{"1": 0, "2": 0, "3": 0, "4": 0}]},
+        {"points": [["0", "0", "1"], 7]},
+        {"points": "001"},
+    ],
+)
+def test_points_must_be_lists(doc):
+    with pytest.raises(DataFormatError, match="malformed points document"):
+        parse_points(doc)
+
+
 def test_system_spec_json_round_trip():
     spec = SystemSpec("ci4", 3, 2, surface=poly("x*y - z*w", XYZW))
     doc = spec.to_json()
@@ -230,3 +309,20 @@ def test_system_spec_json_round_trip():
     assert back == spec
     with pytest.raises(DataFormatError):
         SystemSpec.from_json({"space": "p3"})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"space": "p3", "d": 8.7},
+        {"space": "p3", "d": 4.0},
+        {"space": "p3", "d": True},
+        {"space": "p3", "d": "4"},
+        {"space": "ci4", "d": 3, "h": 2.5},
+        {"space": "ci4", "d": 3, "h": False},
+        {"space": "ci4", "d": 3, "h": "2"},
+    ],
+)
+def test_system_spec_degrees_must_be_json_integers(doc):
+    with pytest.raises(DataFormatError, match="must be a JSON integer"):
+        SystemSpec.from_json(doc)
