@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 from . import __version__
 from .constructions import build_witness, certify_witness, witness_from_json, witness_to_json
@@ -54,7 +55,7 @@ def _fail(code: int, message: str) -> SystemExit:
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage exit code remapped to 64."""
 
-    def error(self, message):
+    def error(self, message) -> NoReturn:
         self.print_usage(sys.stderr)
         raise _fail(EXIT_USAGE, f"{self.prog}: error: {message}")
 
@@ -95,14 +96,6 @@ def _load_json(path: str) -> dict:
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _rat_flag(text: str, parser: _Parser, flag: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except DataFormatError:
-        parser.error(f"argument {flag}: not a rational number: {text!r}")
-        raise AssertionError("unreachable")
-
-
 @functools.cache
 def build_parser() -> _Parser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
@@ -120,34 +113,41 @@ def build_parser() -> _Parser:
     p.add_argument("--retries", type=int, default=32)
     p.add_argument("--out", required=True, help="output witness file (JSON)")
     p.add_argument("--json", action="store_true", help="print the witness document")
+    p.set_defaults(handler=cmd_construct)
 
     p = sub.add_parser("certify", help="run the certificate chain on a witness file")
     p.add_argument("witness", help="witness file produced by construct")
     p.add_argument("--degree-cap", type=int, default=None)
     p.add_argument("--out", default=None, help="write the certified bundle here")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=cmd_certify)
 
     p = sub.add_parser("bounds", help="dimension and node-count bound arithmetic")
     p.add_argument("--space", choices=("p3", "ci4"), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--h", type=int, default=None)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("regularity", help="independent-conditions rank test")
     p.add_argument("--system", required=True, help="system spec file (JSON)")
     p.add_argument("--points", required=True, help="points file (JSON)")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=cmd_regularity)
 
     p = sub.add_parser("deform-check", help="certify the T1-to-node smoothing at t")
     p.add_argument("--t", required=True, help="rational base value, e.g. --t=-1")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=cmd_deform_check)
 
     p = sub.add_parser("hessian-limit", help="limit-Hessian determinant identity")
     p.add_argument("--poly", required=True, help="polynomial file (JSON, 4 variables)")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=cmd_hessian_limit)
 
     p = sub.add_parser("chow-f0", help="restriction classes on the exceptional quadric")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=cmd_chow_f0)
 
     return parser
 
@@ -175,7 +175,12 @@ def cmd_construct(args, manifest: RunManifest) -> int:
 
 def cmd_certify(args, manifest: RunManifest) -> int:
     witness = witness_from_json(_load_json(args.witness))
-    bundle = certify_witness(witness, degree_cap=args.degree_cap)
+    try:
+        bundle = certify_witness(witness, degree_cap=args.degree_cap)
+    except ToolkitError:
+        raise  # main maps these to their own exit codes
+    except ValueError as exc:  # --degree-cap below a generator degree
+        raise _fail(EXIT_USAGE, f"certify: {exc}")
     doc = witness_to_json(witness, bundle)
     doc["manifest"] = manifest.to_json(bundle.verdict)
     if args.out:
@@ -247,8 +252,11 @@ def cmd_regularity(args, manifest: RunManifest) -> int:
     return EXIT_OK if report.regular else EXIT_REFUTED
 
 
-def cmd_deform_check(args, manifest: RunManifest, parser: _Parser) -> int:
-    t = _rat_flag(args.t, parser, "--t")
+def cmd_deform_check(args, manifest: RunManifest) -> int:
+    try:
+        t = parse_rational(args.t)
+    except DataFormatError:
+        build_parser().error(f"argument --t: not a rational number: {args.t!r}")
     if t == 0:
         raise _fail(
             EXIT_USAGE, "deform-check: central fibre is the T1 limit, not a node"
@@ -321,8 +329,7 @@ def cmd_chow_f0(args, manifest: RunManifest) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     manifest = RunManifest(
         command=args.command,
         arguments=argv,
@@ -331,25 +338,11 @@ def main(argv: list[str] | None = None) -> int:
         started=time.perf_counter(),
     )
     try:
-        if args.command == "construct":
-            return cmd_construct(args, manifest)
-        if args.command == "certify":
-            return cmd_certify(args, manifest)
-        if args.command == "bounds":
-            return cmd_bounds(args, manifest)
-        if args.command == "regularity":
-            return cmd_regularity(args, manifest)
-        if args.command == "deform-check":
-            return cmd_deform_check(args, manifest, parser)
-        if args.command == "hessian-limit":
-            return cmd_hessian_limit(args, manifest)
-        if args.command == "chow-f0":
-            return cmd_chow_f0(args, manifest)
+        return args.handler(args, manifest)
     except DataFormatError as exc:
         raise _fail(EXIT_DATA, f"nodal-degen: {exc}")
     except ToolkitError as exc:
         raise _fail(EXIT_REFUTED, f"nodal-degen: {exc}")
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from .polynomials import (
     MultiPoly,
     format_point,
     format_rational,
+    json_int,
     monomials_of_degree,
     parse_rational,
 )
@@ -120,20 +121,6 @@ def general_lines(
     return _draw_arrangement(random.Random(seed), k, retries)
 
 
-def _draw_line(rng: random.Random) -> MultiPoly:
-    while True:
-        coeffs = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(3)]
-        if any(coeffs):
-            return MultiPoly(
-                3,
-                {
-                    (1, 0, 0): Fraction(coeffs[0]),
-                    (0, 1, 0): Fraction(coeffs[1]),
-                    (0, 0, 1): Fraction(coeffs[2]),
-                },
-            )
-
-
 def _draw_form(rng: random.Random, arity: int, degree: int) -> MultiPoly:
     while True:
         terms = {
@@ -173,14 +160,22 @@ class SurfaceWitness:
         return tuple((p[1], p[2]) for p in self.arrangement.nodes)
 
 
-def _dehomogenize_first(form: MultiPoly) -> MultiPoly:
-    """Chart x = 1 of a form in (x, y, z): a polynomial in (v, w)."""
-    return form.dehomogenize(0)
-
-
 def _lift_chart(p2: MultiPoly, s_power: int) -> MultiPoly:
     """Embed a (v, w) polynomial into (s, v, w) multiplied by s**s_power."""
     return MultiPoly(3, {(s_power,) + e: c for e, c in p2.terms()})
+
+
+def _derived_equations(phi1: MultiPoly, phi2: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """The projective equation w*phi1 + phi2 in (x, y, z, w) and the blow-up
+    chart phi1(1,v,w) + s*phi2(1,v,w) in (s, v, w).
+
+    For forms of degrees d-1 and d, (phi1 + phi2)(s, sv, sw) is s**(d-1)
+    times this chart: the chart is the strict transform of the affine
+    surface phi1 + phi2 = 0 under the blow-up of its centre.
+    """
+    projective = phi1.extend(1) * MultiPoly.variable(4, 3) + phi2.extend(1)
+    chart = _lift_chart(phi1.dehomogenize(0), 0) + _lift_chart(phi2.dehomogenize(0), 1)
+    return projective, chart
 
 
 def build_witness(
@@ -206,6 +201,8 @@ def build_witness(
     """
     if d < 3:
         raise ValueError("witness construction needs d >= 3")
+    if retries < 1:
+        raise ValueError(f"retries must be at least 1, got {retries}")
     rng = random.Random(seed)
 
     arrangement = None
@@ -249,11 +246,7 @@ def build_witness(
         # smoothness exclusion ideal at desk scale
         psi = _draw_nonvanishing(rng, 3, d - 2, nodes, retries, seed, "psi").extend(1)
 
-    w4 = MultiPoly.variable(4, 3)
-    projective = phi1.extend(1) * w4 + phi2.extend(1)
-    chart_a = _lift_chart(_dehomogenize_first(phi1), 0) + _lift_chart(
-        _dehomogenize_first(phi2), 1
-    )
+    projective, chart_a = _derived_equations(phi1, phi2)
     tau = MultiPoly.variable(4, 3)
     sb = phi1.extend(1) + tau * psi
 
@@ -276,7 +269,7 @@ def build_witness(
 
 def _draw_arrangement(rng: random.Random, k: int, retries: int) -> LineArrangement:
     for _ in range(retries):
-        lines = [_draw_line(rng) for _ in range(k)]
+        lines = [_draw_form(rng, 3, 1) for _ in range(k)]
         try:
             return LineArrangement.from_lines(lines)
         except ValueError:
@@ -329,21 +322,12 @@ def _structural_defect(w: SurfaceWitness) -> str | None:
         return "phi1 is not a degree d-1 form"
     if not (w.phi2.is_homogeneous() and w.phi2.degree() == w.d):
         return "phi2 is not a degree d form"
-    w4 = MultiPoly.variable(4, 3)
-    if w.projective_equation != w.phi1.extend(1) * w4 + w.phi2.extend(1):
+    # with the degree checks above, these equalities imply multiplicity d-1
+    # at the centre and (phi1 + phi2)(s, sv, sw) = s**(d-1) * chart
+    projective, chart = _derived_equations(w.phi1, w.phi2)
+    if w.projective_equation != projective:
         return "projective equation differs from w*phi1 + phi2"
-    # multiplicity at the centre: the affine chart w = 1 must start in degree d-1
-    affine = w.projective_equation.dehomogenize(3)
-    lowest = min(sum(e) for e, _ in affine.terms())
-    if lowest != w.d - 1:
-        return f"multiplicity at the centre is {lowest}, not d-1"
-    # exact blow-up identity: (phi1 + phi2)(s, sv, sw) = s**(d-1) * chart
-    s = MultiPoly.variable(3, 0)
-    v = MultiPoly.variable(3, 1)
-    wv = MultiPoly.variable(3, 2)
-    total = w.phi1 + w.phi2
-    pulled = total.compose([s, s * v, s * wv])
-    if pulled != _lift_chart(MultiPoly.const(2, 1), w.d - 1) * w.blowup_chart_a:
+    if w.blowup_chart_a != chart:
         return "blow-up chart identity fails"
     if not (w.sb_equation.is_homogeneous() and w.sb_equation.degree() == w.d - 1):
         return "companion surface is not a degree d-1 form"
@@ -409,96 +393,79 @@ def certify_witness(
     certification of every claimed node, T1 certification on the glued
     fibre, chart smoothness via the capped Groebner exclusion check, and
     regularity (independent conditions) of the node set against the plane
-    system of degree d-1.  The first failing stage names the verdict.
+    system of degree d-1.  The first failing stage names the verdict.  Each
+    stage is the local function of its name; the chain stops at the first
+    result that is not Certified, so later stages read the glued fibre only
+    after gluing has been certified.
     """
-    stages: list[StageResult] = []
+    spec: S0Spec | None = None
+    rank: int | None = None
 
-    def bundle(verdict: str, failed: str | None, rank: int | None) -> CertificateBundle:
-        t1_count = len(witness.arrangement.nodes)
-        return CertificateBundle(verdict, failed, tuple(stages), t1_count, rank)
+    def structure() -> tuple[str, str]:
+        defect = _structural_defect(witness)
+        if defect is not None:
+            return REFUTED, defect
+        return CERTIFIED, "witness invariants hold"
 
-    defect = _structural_defect(witness)
-    if defect is not None:
-        stages.append(StageResult("structure", REFUTED, defect))
-        return bundle(REFUTED, "structure", None)
-    stages.append(StageResult("structure", CERTIFIED, "witness invariants hold"))
+    def gluing() -> tuple[str, str]:
+        nonlocal spec
+        try:
+            spec = central_fibre(witness)
+        except GluingError as exc:
+            return REFUTED, str(exc)
+        return CERTIFIED, "chart restrictions agree up to a unit"
 
-    try:
-        spec = central_fibre(witness)
-    except GluingError as exc:
-        stages.append(StageResult("gluing", REFUTED, str(exc)))
-        return bundle(REFUTED, "gluing", None)
-    stages.append(
-        StageResult("gluing", CERTIFIED, "chart restrictions agree up to a unit")
-    )
+    def nodes() -> tuple[str, str]:
+        curve = spec.curve_a()
+        for point in spec.claimed_t1:
+            report = curve_double_point(curve, point)
+            if report.kind != NODE_A1:
+                return REFUTED, f"claimed node {format_point(point)} on C is {report.kind}"
+        return CERTIFIED, f"all {len(spec.claimed_t1)} curve nodes certified"
 
-    curve = spec.curve_a()
-    for point in spec.claimed_t1:
-        report = curve_double_point(curve, point)
-        if report.kind != NODE_A1:
-            stages.append(
-                StageResult(
-                    "nodes",
-                    REFUTED,
-                    f"claimed node {format_point(point)} on C is {report.kind}",
-                )
-            )
-            return bundle(REFUTED, "nodes", None)
-    stages.append(
-        StageResult(
-            "nodes", CERTIFIED, f"all {len(spec.claimed_t1)} curve nodes certified"
-        )
-    )
+    def t1() -> tuple[str, str]:
+        for point in spec.claimed_t1:
+            report = certify_t1(spec, point)
+            if report.kind != T1:
+                return REFUTED, f"point {format_point(point)}: {report.reason}"
+        return CERTIFIED, f"all {len(spec.claimed_t1)} T1 points certified"
 
-    for point in spec.claimed_t1:
-        report = certify_t1(spec, point)
-        if report.kind != T1:
-            stages.append(
-                StageResult(
-                    "t1", REFUTED, f"point {format_point(point)}: {report.reason}"
-                )
-            )
-            return bundle(REFUTED, "t1", None)
-    stages.append(
-        StageResult("t1", CERTIFIED, f"all {len(spec.claimed_t1)} T1 points certified")
-    )
+    def smoothness() -> tuple[str, str]:
+        for name, chart_eq in (("S_A chart", spec.g_a), ("S_B chart", spec.g_b)):
+            exclusion = exclude_extra_singularities(chart_eq, [], degree_cap=degree_cap)
+            if exclusion.status != CERTIFIED:
+                return exclusion.status, f"{name}: {exclusion.detail}"
+        return CERTIFIED, "both chart surfaces are smooth"
 
-    for name, chart_eq in (("S_A chart", spec.g_a), ("S_B chart", spec.g_b)):
-        exclusion = exclude_extra_singularities(chart_eq, [], degree_cap=degree_cap)
-        if exclusion.status != CERTIFIED:
-            stages.append(
-                StageResult(
-                    "smoothness", exclusion.status, f"{name}: {exclusion.detail}"
-                )
-            )
-            verdict = REFUTED if exclusion.status == REFUTED else INCONCLUSIVE
-            return bundle(verdict, "smoothness", None)
-    stages.append(
-        StageResult("smoothness", CERTIFIED, "both chart surfaces are smooth")
-    )
-
-    system = SystemSpec("p2", witness.d - 1)
-    report = independence_rank(condition_matrix(system, witness.arrangement.nodes))
-    if not report.regular:
-        stages.append(
-            StageResult(
-                "regularity",
+    def regularity() -> tuple[str, str]:
+        nonlocal rank
+        system = SystemSpec("p2", witness.d - 1)
+        report = independence_rank(condition_matrix(system, witness.arrangement.nodes))
+        rank = report.rank
+        if not report.regular:
+            return (
                 REFUTED,
-                f"nodes impose dependent conditions "
-                f"(rank {report.rank} < {report.delta})",
+                f"nodes impose dependent conditions (rank {report.rank} < {report.delta})",
             )
-        )
-        return bundle(REFUTED, "regularity", report.rank)
-    stages.append(
-        StageResult(
-            "regularity",
+        return (
             CERTIFIED,
             f"rank {report.rank} of {report.delta} conditions against "
             f"the degree-{witness.d - 1} plane system "
             f"(dim {linear_system_dim(system)})",
         )
+
+    stages: list[StageResult] = []
+    for stage in (structure, gluing, nodes, t1, smoothness, regularity):
+        status, detail = stage()
+        stages.append(StageResult(stage.__name__, status, detail))
+        if status != CERTIFIED:
+            break
+    last = stages[-1]
+    verdict = last.status if last.status in (CERTIFIED, REFUTED) else INCONCLUSIVE
+    failed = None if verdict == CERTIFIED else last.name
+    return CertificateBundle(
+        verdict, failed, tuple(stages), len(witness.arrangement.nodes), rank
     )
-    return bundle(CERTIFIED, None, report.rank)
 
 
 # ------------------------------------------------------------- serialization
@@ -536,8 +503,8 @@ def witness_to_json(witness: SurfaceWitness, bundle: CertificateBundle | None = 
 def witness_from_json(doc: dict) -> SurfaceWitness:
     """Rebuild a witness from its file form, revalidating the arrangement."""
     try:
-        d = int(doc["d"])
-        seed = int(doc["seed"])
+        d = json_int(doc["d"], "d")
+        seed = json_int(doc["seed"], "seed")
         lines = [MultiPoly.from_json(entry) for entry in doc["lines"]]
         polys = {key: MultiPoly.from_json(doc[key]) for key in _WITNESS_ARITY}
         for key, arity in _WITNESS_ARITY.items():

@@ -311,21 +311,14 @@ class F0Identities:
 def chow_f0_identities() -> F0Identities:
     """Solve for e = a*sigma + b*f from f.e = -1 and e**2 = 2, then derive E''|_E.
 
-    The two constraints reduce to a staged linear system: f.e = a pins a, and
-    substituting it into e**2 = 2ab pins b.  Uniqueness is certified by the
-    nonzero determinant of that 2x2 system; the normal-crossing relation
-    2f + theta|_E + E''|_E = 0 then determines the last class.  Any failed
+    f.e = a pins a = -1, and e**2 = 2ab = 2 then pins b = 1/a = -1; the
+    normal-crossing relation 2f + theta|_E + E''|_E = 0 determines the last
+    class.  The identities are checked again on the result, and any failed
     identity raises, since these are constants of the construction.
     """
-    system = RatMatrix.from_rows([[1, 0], [0, -2]])
-    det = system.det()
-    if det == 0:
-        raise ToolkitError("restriction-class system is singular")
-    a = Fraction(-1) / system.entry(0, 0)
-    b = Fraction(2) / system.entry(1, 1)
-    if a.denominator != 1 or b.denominator != 1:
-        raise ToolkitError("restriction classes must be integral")
-    e = DivisorClassF0(int(a), int(b))
+    a = -1  # f.e = a
+    b = 1 // a  # e**2 = 2ab = 2
+    e = DivisorClassF0(a, b)
     theta = e  # theta|_E is the class of the tautological sub-bundle, i.e. e
     epp = -(FIBRE + FIBRE + theta)
     result = F0Identities(e, theta, epp)

@@ -58,11 +58,6 @@ class SingularityReport:
         return doc
 
 
-def hessian_matrix(f: MultiPoly, q: Sequence[Fraction]) -> RatMatrix:
-    """Matrix of second partials of f evaluated at q."""
-    return RatMatrix.from_rows(f.value_gradient_hessian(q)[2])
-
-
 def classify_point(f: MultiPoly, q: Sequence) -> SingularityReport:
     """Classify a point of the surface f = 0 in a 3-variable chart.
 

@@ -420,7 +420,20 @@ _MALFORMED = {
     ),
     "certify:not-json": (["certify", "{w}"], {"w": "[1, 2"}, 65),
     "certify:missing-key": (["certify", "{w}"], {"w": _witness(sB=None)}, 65),
+    "certify:float-d": (["certify", "{w}"], {"w": _witness(d=3.7)}, 65),
+    "certify:string-d": (["certify", "{w}"], {"w": _witness(d="3")}, 65),
+    "certify:boolean-seed": (["certify", "{w}"], {"w": _witness(seed=True)}, 65),
+    "certify:float-seed": (["certify", "{w}"], {"w": _witness(seed=1.5)}, 65),
+    "certify:degree-cap-below-generators": (
+        ["certify", "{w}", "--degree-cap", "1"], {"w": _witness()}, 64,
+    ),
     "construct:not-an-integer": (["construct", "--d", "x", "--out", "{out}"], {}, 64),
+    "construct:zero-retries": (
+        ["construct", "--d", "4", "--seed", "1", "--retries", "0", "--out", "{out}"], {}, 64,
+    ),
+    "construct:negative-retries": (
+        ["construct", "--d", "4", "--seed", "1", "--retries", "-1", "--out", "{out}"], {}, 64,
+    ),
     "bounds:not-an-integer": (["bounds", "--space", "p3", "--d", "q"], {}, 64),
 }
 

@@ -1,5 +1,6 @@
 """Witness construction and the certificate chain, fixtures and failures."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -152,6 +153,25 @@ def test_witness_determinism():
     ca = certify_witness(a)
     cb = certify_witness(b)
     assert ca.to_json() == cb.to_json()
+
+
+# SHA-256 of each certified witness document: the seeded draws, the derived
+# equations and every stage text must reproduce byte for byte
+_PINNED_DOCUMENTS = {
+    (3, 1): "ba6f09b16820d44f0cf07a3cbe958e5fb951b77e1b2e99e550a27a4241166d59",
+    (4, 5): "3bf87788a69b1e03fdf8f0c2ee0eb78c07e42087f23daa0e3a33805ccaa2b13b",
+    (5, 2): "f2ed540441a936d634e4bc3491427a7293972f2f68529be50d250022e33be4a5",
+    (6, 0): "0f7cd602ec8230c8d05361ceffd6582d651b178ea9aa7186b4f42d5e6fb5fe3d",
+    # refuted at smoothness: the S_A chart is singular
+    (5, 615096): "2d588721c52c33e96ad09be4caf2fe04f574442e90f3979e1310648ed50253a8",
+}
+
+
+@pytest.mark.parametrize("d, seed", sorted(_PINNED_DOCUMENTS))
+def test_witness_documents_are_pinned(d, seed):
+    w = build_witness(d, seed)
+    doc = json.dumps(witness_to_json(w, certify_witness(w)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == _PINNED_DOCUMENTS[d, seed]
 
 
 # -------------------------------------------------------------- central fibre

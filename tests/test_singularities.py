@@ -27,7 +27,6 @@ from nodal_degen.singularities import (
     classify_point,
     curve_double_point,
     exclude_extra_singularities,
-    hessian_matrix,
 )
 from oracles import rational_roots_by_divisors, solve_unique
 
@@ -335,7 +334,7 @@ def _nodal_charts(draw):
     """Q + C3 (+ C4) with Q a nondegenerate quadratic form, recentred at P."""
     coeff = st.integers(-4, 4).map(Fraction)
     q = MultiPoly(3, {e: draw(coeff) for e in monomials_of_degree(3, 2)})
-    assume(hessian_matrix(q, (0, 0, 0)).det() != 0)
+    assume(RatMatrix.from_rows(q.value_gradient_hessian((0, 0, 0))[2]).det() != 0)
     terms = dict(q.terms())
     for k in range(3, draw(st.integers(3, 4)) + 1):
         terms.update({e: draw(coeff) for e in monomials_of_degree(3, k)})
