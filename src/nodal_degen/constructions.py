@@ -118,7 +118,14 @@ def general_lines(
     """
     if k < 2:
         raise ValueError("need at least 2 lines")
+    _check_budget(retries)
     return _draw_arrangement(random.Random(seed), k, retries)
+
+
+def _check_budget(retries: int) -> None:
+    """A budget below one draw can never succeed: a usage error, not a GenericityError."""
+    if retries < 1:
+        raise ValueError(f"retries must be at least 1, got {retries}")
 
 
 def _draw_form(rng: random.Random, arity: int, degree: int) -> MultiPoly:
@@ -201,8 +208,7 @@ def build_witness(
     """
     if d < 3:
         raise ValueError("witness construction needs d >= 3")
-    if retries < 1:
-        raise ValueError(f"retries must be at least 1, got {retries}")
+    _check_budget(retries)
     rng = random.Random(seed)
 
     arrangement = None

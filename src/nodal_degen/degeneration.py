@@ -100,8 +100,9 @@ def tangent_cone_prediction(alpha: Fraction) -> MultiPoly:
 def verify_t1_to_node(t) -> SingularityReport:
     """Certify that the slice at t carries a node at its predicted point.
 
-    Classifies the chart surface at (-alpha/2, 0, 0) and additionally compares
-    the recentred degree-2 part with the predicted tangent cone up to a scalar.
+    Recentres the chart once at (-alpha/2, 0, 0), classifies the recentred
+    chart at the origin and compares its degree-2 part with the predicted
+    tangent cone up to a scalar; the report carries the original point.
     Raises ValueError at t = 0 (the central fibre is the T1 limit, not a node)
     and when -4t is not a rational square.
     """
@@ -112,8 +113,8 @@ def verify_t1_to_node(t) -> SingularityReport:
     if family is None:
         raise ValueError(f"-4t = {-4 * t} is not a rational square; no rational slice")
     point = family.node_point()
-    report = classify_point(family.surface_chart, point)
     recentred = family.surface_chart.translate(point)
+    report = classify_point(recentred, (0, 0, 0))
     quadratic = recentred.degree_part(2)
     ratio = quadratic.scalar_ratio(tangent_cone_prediction(family.alpha))
     witness = dict(report.witness)
@@ -179,8 +180,8 @@ def limit_hessian(p: MultiPoly) -> RatMatrix:
     (px*py, 0, 0) in the limit, the lower-right block is px**2/2 times the
     (z, u) Hessian, and the remaining first-row entries are the limits
     (pyz - pxz)/2 and (pyu - pxu)/2 of the rescaled mixed terms.  The
-    partials at the origin (the linear and quadratic coefficients) come from
-    one pass over the terms.
+    partials at the origin are read off the linear and quadratic
+    coefficients.
     """
     if p.arity != 4:
         raise ValueError("normal form lives in 4 variables (x, y, z, u)")

@@ -1,16 +1,18 @@
 """Exact rational matrices: fraction-free rank and determinant.
 
-Rank and determinant run Bareiss fraction-free elimination on an integer
-rescaling of the matrix, so intermediate values stay integral and exact.
-``rank_mod`` reduces the same integer rows modulo a word-size prime; it is
-reported as a cross-check only, never used as a certificate.
+A matrix keeps, from construction on, the integer rescaling it eliminates
+on: row i is ``int_rows[i] / multipliers[i]`` with integer entries and a
+positive multiplier.  Rank and determinant run Bareiss fraction-free
+elimination on those integer rows, so intermediate values stay integral and
+exact.  ``rank_mod`` reduces the same integer rows modulo a word-size prime;
+it is reported as a cross-check only, never used as a certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 #: Default word-size prime of ``RatMatrix.rank_mod``.
@@ -19,56 +21,55 @@ DEFAULT_PRIME = 2**31 - 1
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Dense exact matrix, row-major entries."""
+    """Dense exact matrix stored as integer rows over positive multipliers.
+
+    Entry (i, j) is ``int_rows[i][j] / multipliers[i]``.  ``from_rows`` takes
+    each multiplier to be the lcm of its row's denominators, so equal entries
+    give equal matrices; integer rows are passed directly with multiplier 1.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    int_rows: tuple[tuple[int, ...], ...]
+    multipliers: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entries length must equal rows*cols")
+        if len(self.int_rows) != self.rows or len(self.multipliers) != self.rows:
+            raise ValueError("need one integer row and one multiplier per row")
+        if any(len(row) != self.cols for row in self.int_rows):
+            raise ValueError("ragged rows")
+        if any(m <= 0 for m in self.multipliers):
+            raise ValueError("row multipliers must be positive")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[Fraction] = []
+        int_rows = []
+        multipliers = []
         for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(Fraction(x) for x in row)
-        return cls(nrows, ncols, tuple(flat))
+            row = [Fraction(x) for x in row]
+            mult = lcm(*(x.denominator for x in row))
+            int_rows.append(tuple(x.numerator * (mult // x.denominator) for x in row))
+            multipliers.append(mult)
+        ncols = len(int_rows[0]) if int_rows else 0
+        return cls(len(int_rows), ncols, tuple(int_rows), tuple(multipliers))
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls.from_rows(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
+        rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return cls(n, n, rows, (1,) * n)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return Fraction(self.int_rows[i][j], self.multipliers[i])
 
     def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def _int_rows(self) -> tuple[list[list[int]], Fraction]:
-        """Integer rescaling (row by row) and the product of the row scalings."""
-        out: list[list[int]] = []
-        scale = Fraction(1)
-        for i in range(self.rows):
-            row = self.row(i)
-            mult = lcm(*(x.denominator for x in row)) if row else 1
-            scale *= mult
-            out.append([x.numerator * (mult // x.denominator) for x in row])
-        return out, scale
+        return [
+            [Fraction(x, m) for x in row]
+            for row, m in zip(self.int_rows, self.multipliers)
+        ]
 
     def rank(self) -> int:
         """Exact rank via fraction-free (Bareiss) elimination."""
-        m, _ = self._int_rows()
+        m = [list(row) for row in self.int_rows]
         return _bareiss_rank(m, self.rows, self.cols)
 
     def det(self) -> Fraction:
@@ -77,17 +78,16 @@ class RatMatrix:
             raise ValueError("determinant requires a square matrix")
         if self.rows == 0:
             return Fraction(1)
-        m, scale = self._int_rows()
-        return Fraction(_bareiss_det(m, self.rows)) / scale
+        m = [list(row) for row in self.int_rows]
+        return Fraction(_bareiss_det(m, self.rows), prod(self.multipliers))
 
     def rank_mod(self, p: int = DEFAULT_PRIME) -> int:
-        """Rank over the prime field F_p of the integer rescaling of the rows.
+        """Rank over the prime field F_p of the integer rows.
 
         Row scaling keeps the rational rank, and reduction mod p can only
         lower it, so the value never exceeds :meth:`rank`.
         """
-        rows, _ = self._int_rows()
-        m = [[x % p for x in row] for row in rows]
+        m = [[x % p for x in row] for row in self.int_rows]
         rank = 0
         for col in range(self.cols):
             pivot = next((r for r in range(rank, self.rows) if m[r][col]), None)

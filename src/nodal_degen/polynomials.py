@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 from typing import Iterator, Mapping, Sequence
 
 from .errors import ArityError, DataFormatError
@@ -259,47 +259,26 @@ class MultiPoly:
     def value_gradient_hessian(
         self, point: Sequence
     ) -> tuple[Fraction, tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
-        """Exact value, gradient and Hessian at a rational point, in one pass.
+        """Exact value, gradient and Hessian at a rational point.
 
-        A term c * prod(x_k**e_k) contributes c times the product of its
-        factors x_k**e_k, with the factor of variable i replaced by its first
-        derivative for the i-th partial, and by its second derivative (or the
-        factors of i and j by their first derivatives) for the (i, j) second
-        partial.  A factor is zero where x_k = 0 < e_k, so a term with more
-        than two such factors contributes nothing.
+        One Taylor shift moves the point to the origin; there the value is
+        the constant term, the gradient the linear coefficients and the
+        Hessian the quadratic ones, with the diagonal doubled.
         """
+        terms = self.translate(point)._terms
         n = self.arity
-        if len(point) != n:
-            raise ArityError(f"point length {len(point)} does not match arity {n}")
-        pt = [Fraction(x) for x in point]
-        top = [0] * n
-        for e in self._terms:
-            top = [max(a, b) for a, b in zip(top, e)]
-        powers = [[x**m for m in range(t + 1)] for x, t in zip(pt, top)]
-        value = Fraction(0)
-        grad = [Fraction(0)] * n
-        hess = [[Fraction(0)] * n for _ in range(n)]
-        for e, c in self._terms.items():
-            f0 = [pw[m] for pw, m in zip(powers, e)]
-            zeros = {k for k, v in enumerate(f0) if not v}
-            if len(zeros) > 2:
-                continue
-            f1 = [m * pw[m - 1] if m else 0 for pw, m in zip(powers, e)]
-            if not zeros:
-                value += c * prod(f0)
-            for i, m in enumerate(e):
-                if m and zeros <= {i}:
-                    rest = c * prod(f0[k] for k in range(n) if k != i)
-                    grad[i] += f1[i] * rest
-                    if m > 1:
-                        hess[i][i] += m * (m - 1) * powers[i][m - 2] * rest
-                for j in range(i + 1, n):
-                    if f1[i] and f1[j] and zeros <= {i, j}:
-                        h = c * f1[i] * f1[j]
-                        h *= prod(f0[k] for k in range(n) if k != i and k != j)
-                        hess[i][j] += h
-                        hess[j][i] += h
-        return value, tuple(grad), tuple(tuple(row) for row in hess)
+
+        def coeff(*variables: int) -> Fraction:
+            exps = [0] * n
+            for v in variables:
+                exps[v] += 1
+            return terms.get(tuple(exps), Fraction(0))
+
+        return (
+            coeff(),
+            tuple(coeff(i) for i in range(n)),
+            tuple(tuple(coeff(i, j) * (1 + (i == j)) for j in range(n)) for i in range(n)),
+        )
 
     def translate(self, point: Sequence) -> "MultiPoly":
         """Recentre: returns q with q(v) = p(v + point).
@@ -402,14 +381,6 @@ class MultiPoly:
         """Append ``extra`` fresh variables that do not occur."""
         pad = (0,) * extra
         return MultiPoly(self.arity + extra, {e + pad: c for e, c in self._terms.items()})
-
-    def homogenize(self) -> "MultiPoly":
-        """Append one variable raising every term to the total degree."""
-        if not self._terms:
-            return MultiPoly(self.arity + 1, {})
-        d = int(self.degree())
-        res = {e + (d - sum(e),): c for e, c in self._terms.items()}
-        return MultiPoly(self.arity + 1, res)
 
     def dehomogenize(self, var: int) -> "MultiPoly":
         """Set the chart variable to 1 and drop its slot; input must be homogeneous."""

@@ -199,8 +199,9 @@ class ConditionMatrix:
     """Evaluation matrix of the system's monomial basis at a node set.
 
     Row i is the basis evaluated at the primitive integer representative of
-    ``points[i]``: a positive multiple of its values at the canonical point,
-    and the same integer row the rank routines would rescale those to.
+    ``points[i]``: a primitive integer row, a positive multiple of the
+    basis values at the canonical point.  The rows enter the matrix as they
+    are, with multiplier 1, so the rank routines eliminate on them directly.
     """
 
     system: SystemSpec
@@ -243,12 +244,8 @@ def condition_matrix(spec: SystemSpec, points: Sequence[Sequence]) -> ConditionM
         row = [powers[0][k] for k in first]
         for table, column in zip(powers[1:], rest):
             row = [v * table[k] for v, k in zip(row, column)]
-        rows.append(row)
-    matrix = (
-        RatMatrix.from_rows(rows)
-        if rows
-        else RatMatrix(0, len(basis), ())
-    )
+        rows.append(tuple(row))
+    matrix = RatMatrix(len(rows), len(basis), tuple(rows), (1,) * len(rows))
     return ConditionMatrix(spec, tuple(pts), matrix)
 
 

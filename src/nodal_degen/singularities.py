@@ -78,8 +78,8 @@ def classify_point(f: MultiPoly, q: Sequence) -> SingularityReport:
             point, SMOOTH, witness={"value": value, "gradient": gradient}
         )
     hess = RatMatrix.from_rows(second)
-    rank = hess.rank()
-    if rank == 3:
+    det = hess.det()
+    if det != 0:
         return SingularityReport(
             point,
             NODE_A1,
@@ -88,13 +88,13 @@ def classify_point(f: MultiPoly, q: Sequence) -> SingularityReport:
                 "value": value,
                 "gradient": gradient,
                 "hessian": hess,
-                "hessian_det": hess.det(),
+                "hessian_det": det,
             },
         )
     return SingularityReport(
         point,
         DEGENERATE,
-        hessian_rank=rank,
+        hessian_rank=hess.rank(),
         witness={"value": value, "gradient": gradient, "hessian": hess},
     )
 
@@ -206,29 +206,6 @@ def certify_t1(spec: S0Spec, p: Sequence) -> SingularityReport:
             point, REFUTED, reason="C has degenerate double point", witness=witness
         )
     return SingularityReport(point, T1, witness=witness)
-
-
-@dataclass(frozen=True)
-class NodeSetReport:
-    """Batch classification of claimed surface nodes."""
-
-    reports: tuple[SingularityReport, ...]
-    all_nodes: bool
-
-    def to_json(self) -> dict:
-        return {
-            "reports": [r.to_json() for r in self.reports],
-            "all_nodes": self.all_nodes,
-        }
-
-
-def certify_node_set(f: MultiPoly, points: Sequence[Sequence]) -> NodeSetReport:
-    """classify_point over a list of pairwise-distinct claimed nodes."""
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("claimed points must be pairwise distinct")
-    reports = tuple(classify_point(f, p) for p in pts)
-    return NodeSetReport(reports, all(r.kind == NODE_A1 for r in reports))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Slow, independent reference computations that the tests check the library
 against: rational S-polynomials and multivariate division, a plain Buchberger
-algorithm built on them, an exhaustive minor-search rank, a Gauss-Jordan
-solver over Fraction, rational roots by the rational root theorem, the
+algorithm built on them, a determinant by Fraction elimination, an
+exhaustive minor-search rank over Q and modulo p, a Gauss-Jordan solver
+over Fraction, rational roots by the rational root theorem, the
 recentring of a polynomial by generic composition, values, gradients,
 Hessians and the limit Hessian through derivative polynomials, and condition
 matrix rows evaluated in Fraction arithmetic."""
@@ -100,18 +101,38 @@ def buchberger(gens: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
     return tuple(sorted(reduced, key=lambda g: grlex_key(g.leading()[0]), reverse=True))
 
 
-def minor_rank(matrix: RatMatrix) -> int:
+def fraction_det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for r in range(k + 1, len(m)):
+            factor = m[r][k] / m[k][k]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[k])]
+    return det
+
+
+def minor_rank(rows: Sequence[Sequence], p: int | None = None) -> int:
     """Exhaustive minor-search rank (exponential; small matrices only).
 
     The rank is the largest k such that some k-by-k minor has nonzero
-    determinant.
+    determinant; with a prime p the rows must be integers, and the
+    determinant must be nonzero modulo p.
     """
-    rows = matrix.to_rows()
-    for k in range(min(matrix.rows, matrix.cols), 0, -1):
-        for ri in combinations(range(matrix.rows), k):
-            for ci in combinations(range(matrix.cols), k):
-                sub = RatMatrix.from_rows([[rows[i][j] for j in ci] for i in ri])
-                if sub.det() != 0:
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for ri in combinations(range(nrows), k):
+            for ci in combinations(range(ncols), k):
+                det = fraction_det([[rows[i][j] for j in ci] for i in ri])
+                if (det if p is None else det % p) != 0:
                     return k
     return 0
 
@@ -121,7 +142,7 @@ def solve_unique(matrix: RatMatrix, rhs: Sequence[Fraction]) -> list[Fraction]:
     if len(rhs) != matrix.rows:
         raise ValueError("rhs length must equal the number of rows")
     n = matrix.cols
-    aug = [list(matrix.row(i)) + [Fraction(rhs[i])] for i in range(matrix.rows)]
+    aug = [row + [Fraction(rhs[i])] for i, row in enumerate(matrix.to_rows())]
     pivots: list[int] = []
     row = 0
     for col in range(n):

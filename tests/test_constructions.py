@@ -69,6 +69,15 @@ def test_general_lines_determinism():
     assert general_lines(5, 11).lines == general_lines(5, 11).lines
 
 
+@pytest.mark.parametrize("retries", [0, -1])
+def test_general_lines_rejects_empty_budget(retries):
+    # a usage error, like build_witness, not the retryable GenericityError
+    with pytest.raises(ValueError, match="retries must be at least 1"):
+        general_lines(3, 0, retries=retries)
+    with pytest.raises(ValueError, match="retries must be at least 1"):
+        build_witness(3, 0, retries=retries)
+
+
 # -------------------------------------------------------------- construction
 
 

@@ -94,11 +94,10 @@ def test_node_family_converges_to_origin():
 
 def test_general_fibre_sample_is_all_nodes():
     from nodal_degen.degeneration import deformation_slice
-    from nodal_degen.singularities import certify_node_set
+    from nodal_degen.singularities import classify_point
 
     family = deformation_slice(Fraction(-9, 4))
-    report = certify_node_set(family.surface_chart, [family.node_point()])
-    assert report.all_nodes
+    assert classify_point(family.surface_chart, family.node_point()).kind == NODE_A1
 
 
 def test_two_slices_multiply_to_algebraic_family():

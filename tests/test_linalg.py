@@ -1,13 +1,14 @@
 """Exact rank/determinant against the exhaustive minor oracle."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodal_degen.linalg import DEFAULT_PRIME, RatMatrix
-from oracles import minor_rank, solve_unique
+from oracles import fraction_det, minor_rank, solve_unique
 
 
 def test_rank_identity():
@@ -57,7 +58,7 @@ def test_rank_matches_minor_oracle(rows, cols, data):
         [data.draw(st.integers(-2, 2)) for _ in range(cols)] for _ in range(rows)
     ]
     m = RatMatrix.from_rows(entries)
-    assert m.rank() == minor_rank(m)
+    assert m.rank() == minor_rank(entries)
 
 
 @settings(max_examples=120)
@@ -82,3 +83,31 @@ def test_modular_unusable_denominator():
     m = RatMatrix.from_rows([[101, 1], [0, 101]])
     assert m.rank_mod(101) == 1  # both pivots vanish mod 101
     assert m.rank_mod() == m.rank() == 2
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.data())
+def test_matrix_agrees_with_fraction_oracles(integer, data):
+    # integer rows are passed directly with multiplier 1, as condition
+    # matrices are; rational rows go through from_rows
+    nrows = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(1, 4))
+    entry = st.integers(-3, 3) if integer else _RATIONAL
+    rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if integer:
+        m = RatMatrix(nrows, ncols, tuple(map(tuple, rows)), (1,) * nrows)
+        assert m == RatMatrix.from_rows(rows)
+    else:
+        m = RatMatrix.from_rows(rows)
+    assert m.to_rows() == rows
+    assert all(m.entry(i, j) == rows[i][j] for i in range(nrows) for j in range(ncols))
+    assert m.rank() == minor_rank(rows)
+    if nrows == ncols:
+        assert m.det() == fraction_det(rows)
+    # rank_mod reduces each row times the lcm of its denominators
+    scaled = [[x * lcm(*(Fraction(y).denominator for y in row)) for x in row] for row in rows]
+    for p in (2, 3, DEFAULT_PRIME):
+        assert m.rank_mod(p) == minor_rank(scaled, p)

@@ -1,6 +1,7 @@
 """Dimension bounds, the multiplication-rank oracle, and condition ranks."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -168,12 +169,21 @@ def test_rank_invariances(data):
     assert (r2.rank, r2.regular) == (base.rank, base.regular)
 
 
+def _primitive_rescaling(row: list[Fraction]) -> tuple[int, ...]:
+    """The coprime integer row positively proportional to a nonzero row."""
+    scale = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (scale // x.denominator) for x in row]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
 def _assert_rows_match_fraction_oracle(spec: SystemSpec, points):
     cm = condition_matrix(spec, points)
-    oracle = RatMatrix.from_rows(
-        condition_rows_by_fractions(spec.monomial_basis(), cm.points)
-    )
-    assert cm.matrix.to_rows() == oracle._int_rows()[0]
+    fraction_rows = condition_rows_by_fractions(spec.monomial_basis(), cm.points)
+    oracle = RatMatrix.from_rows(fraction_rows)
+    primitive = tuple(_primitive_rescaling(row) for row in fraction_rows)
+    assert cm.matrix.int_rows == primitive
+    assert cm.matrix.to_rows() == [list(row) for row in primitive]
     report = independence_rank(cm)
     assert report.rank == oracle.rank()
     assert report.modular_rank == oracle.rank_mod()

@@ -22,7 +22,6 @@ from nodal_degen.singularities import (
     T1,
     S0Spec,
     _rational_roots,
-    certify_node_set,
     certify_t1,
     classify_point,
     curve_double_point,
@@ -67,6 +66,19 @@ def test_rank_two_critical_point():
     r = classify_point(poly("s**2 + v**2", SVW), (0, 0, 0))
     assert r.kind == DEGENERATE
     assert r.hessian_rank == 2
+
+
+@pytest.mark.parametrize(
+    "text, rank", [("s**3 + v**3 + w**3", 0), ("s**2 + v**3 + w**3", 1)]
+)
+def test_low_rank_critical_points(text, rank):
+    # det = 0, so the rank comes from elimination and no determinant is reported
+    r = classify_point(poly(text, SVW), (0, 0, 0))
+    assert r.kind == DEGENERATE
+    assert r.hessian_rank == rank
+    doc = r.to_json()
+    assert doc["class"] == DEGENERATE and doc["hessian_rank"] == rank
+    assert "hessian_det" not in doc
 
 
 def test_point_off_surface_is_an_error():
@@ -214,24 +226,6 @@ def test_t1_iff_half_hessian_nonzero(data):
     assert (report.kind == T1) == (half_hessian_det != 0)
 
 
-# ----------------------------------------------------------- node-set checks
-
-
-def test_node_set_cone():
-    r = certify_node_set(poly("s**2 + v**2 + w**2", SVW), [(0, 0, 0)])
-    assert r.all_nodes and len(r.reports) == 1
-
-
-def test_node_set_vacuous():
-    r = certify_node_set(poly("s**2 + v**2 + w**2", SVW), [])
-    assert r.all_nodes and r.reports == ()
-
-
-def test_node_set_duplicates_rejected():
-    with pytest.raises(ValueError):
-        certify_node_set(poly("s**2 + v**2 + w**2", SVW), [(0, 0, 0), (0, 0, 0)])
-
-
 # ------------------------------------------------------------- exclusion op
 
 
@@ -289,9 +283,8 @@ def test_exclusion_implies_critical_at_allowed():
     f = poly("s**4 - 2*s**3 + s**2 + v**2 + w**2", SVW)
     r = exclude_extra_singularities(f, [(0, 0, 0), (1, 0, 0)])
     assert r.status == CERTIFIED
-    reports = certify_node_set(f, [(0, 0, 0), (1, 0, 0)])
-    assert all(rep.kind != SMOOTH for rep in reports.reports)
-    assert reports.all_nodes
+    reports = [classify_point(f, p) for p in [(0, 0, 0), (1, 0, 0)]]
+    assert all(rep.kind == NODE_A1 for rep in reports)
 
 
 def test_exclusion_arity_guard():
