@@ -370,11 +370,13 @@ class MultiPoly:
         }
         return MultiPoly(self.arity, res)
 
-    def without_var(self, var: int) -> "MultiPoly":
-        """Drop a variable slot in which the polynomial is constant."""
-        if any(e[var] for e in self._terms):
-            raise ArityError(f"variable {var} still occurs; cannot drop it")
-        res = {e[:var] + e[var + 1 :]: c for e, c in self._terms.items()}
+    def coefficient_in(self, var: int, k: int) -> "MultiPoly":
+        """The coefficient of v_var**k, a polynomial in the other variables
+        with the slot ``var`` dropped; ``coefficient_in(var, 0)`` is the
+        restriction to v_var = 0."""
+        if not 0 <= var < self.arity:
+            raise ArityError(f"variable index {var} out of range for arity {self.arity}")
+        res = {e[:var] + e[var + 1 :]: c for e, c in self._terms.items() if e[var] == k}
         return MultiPoly(self.arity - 1, res)
 
     def extend(self, extra: int) -> "MultiPoly":
@@ -510,6 +512,8 @@ class MultiPoly:
             terms = {}
             for entry in data["terms"]:
                 exps = tuple(json_int(v, "exponent") for v in entry["e"])
+                if exps in terms:
+                    raise ValueError(f"duplicate exponent {list(exps)}")
                 terms[exps] = parse_rational(str(entry["c"]))
             return cls(arity, terms)
         except (KeyError, TypeError, ValueError) as exc:

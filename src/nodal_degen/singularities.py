@@ -58,76 +58,45 @@ class SingularityReport:
         return doc
 
 
-def classify_point(f: MultiPoly, q: Sequence) -> SingularityReport:
-    """Classify a point of the surface f = 0 in a 3-variable chart.
-
-    The point must satisfy f(q) = 0, otherwise PointNotOnSurface is raised.
-    A nonzero gradient gives Smooth; a critical point is NodeA1 exactly when
-    the 3x3 Hessian has full rank, and DegenerateCritical(rank) otherwise.
-    """
-    if f.arity != 3:
-        raise ArityError("classify_point expects a surface chart in 3 variables")
+def _classify(f: MultiPoly, q: Sequence, noun: str) -> SingularityReport:
+    """Classify a point of the hypersurface f = 0; ``noun`` names it in the
+    PointNotOnSurface message.  A nonzero gradient gives Smooth; a critical
+    point is NodeA1 exactly when the Hessian has full rank, and
+    DegenerateCritical(rank) otherwise."""
     point = tuple(Fraction(x) for x in q)
     value, gradient, second = f.value_gradient_hessian(point)
     if value != 0:
         raise PointNotOnSurface(
-            f"point {format_point(point)} not on surface (value {value})"
+            f"point {format_point(point)} not on {noun} (value {value})"
         )
+    witness = {"value": value, "gradient": gradient}
     if any(gradient):
-        return SingularityReport(
-            point, SMOOTH, witness={"value": value, "gradient": gradient}
-        )
+        return SingularityReport(point, SMOOTH, witness=witness)
     hess = RatMatrix.from_rows(second)
+    witness["hessian"] = hess
     det = hess.det()
     if det != 0:
-        return SingularityReport(
-            point,
-            NODE_A1,
-            hessian_rank=3,
-            witness={
-                "value": value,
-                "gradient": gradient,
-                "hessian": hess,
-                "hessian_det": det,
-            },
-        )
-    return SingularityReport(
-        point,
-        DEGENERATE,
-        hessian_rank=hess.rank(),
-        witness={"value": value, "gradient": gradient, "hessian": hess},
-    )
+        witness["hessian_det"] = det
+        return SingularityReport(point, NODE_A1, hessian_rank=f.arity, witness=witness)
+    return SingularityReport(point, DEGENERATE, hessian_rank=hess.rank(), witness=witness)
+
+
+def classify_point(f: MultiPoly, q: Sequence) -> SingularityReport:
+    """Classify a point of the surface f = 0 in a 3-variable chart: Smooth,
+    NodeA1 (critical with a full-rank 3x3 Hessian) or DegenerateCritical.
+
+    The point must satisfy f(q) = 0, otherwise PointNotOnSurface is raised.
+    """
+    if f.arity != 3:
+        raise ArityError("classify_point expects a surface chart in 3 variables")
+    return _classify(f, q, "surface")
 
 
 def curve_double_point(curve: MultiPoly, p: Sequence) -> SingularityReport:
     """Classify a point of a plane curve: node iff critical with nonzero 2x2 Hessian."""
     if curve.arity != 2:
         raise ArityError("curve_double_point expects a plane curve in 2 variables")
-    point = tuple(Fraction(x) for x in p)
-    value, gradient, second = curve.value_gradient_hessian(point)
-    if value != 0:
-        raise PointNotOnSurface(
-            f"point {format_point(point)} not on curve (value {value})"
-        )
-    if any(gradient):
-        return SingularityReport(
-            point, SMOOTH, witness={"value": value, "gradient": gradient}
-        )
-    hess = RatMatrix.from_rows(second)
-    det = hess.det()
-    if det != 0:
-        return SingularityReport(
-            point,
-            NODE_A1,
-            hessian_rank=2,
-            witness={"value": value, "gradient": gradient, "hessian_det": det},
-        )
-    return SingularityReport(
-        point,
-        DEGENERATE,
-        hessian_rank=hess.rank(),
-        witness={"value": value, "gradient": gradient, "hessian_det": det},
-    )
+    return _classify(curve, p, "curve")
 
 
 @dataclass(frozen=True)
@@ -152,14 +121,11 @@ class S0Spec:
 
     def curve_a(self) -> MultiPoly:
         """The curve C cut on R by the A-side chart, in the (z, u) coordinates."""
-        return self.g_a.set_var(0, 0).without_var(0)
-
-    def curve_b(self) -> MultiPoly:
-        return self.g_b.set_var(0, 0).without_var(0)
+        return self.g_a.coefficient_in(0, 0)
 
     def gluing_scalar(self) -> Fraction:
         """The unit lam with C_A = lam * C_B; raises GluingError if none exists."""
-        lam = self.curve_a().scalar_ratio(self.curve_b())
+        lam = self.curve_a().scalar_ratio(self.g_b.coefficient_in(0, 0))
         if lam is None or lam == 0:
             raise GluingError(
                 "chart restrictions to R cut different curves; gluing mismatch"
@@ -173,39 +139,36 @@ def certify_t1(spec: S0Spec, p: Sequence) -> SingularityReport:
     T1 holds iff both chart equations have nonzero gradient at p and the
     common curve C has a node there (zero value and gradient, nondegenerate
     2x2 Hessian).  Any failing condition yields Refuted naming it.
+
+    Each chart's tangential partials at (0, p) are those of its restriction
+    to R, that is C for the A side and C / lam for the B side, and its normal
+    partial is its v0-coefficient N at p; so one classification of C at p
+    gives both gradients.
     """
-    point = tuple(Fraction(x) for x in p)
     lam = spec.gluing_scalar()  # raises GluingError on inconsistent input
-    curve = spec.curve_a()
-    value = curve.eval_at(point)
-    if value != 0:
-        raise PointNotOnSurface(f"point {format_point(point)} not on C (value {value})")
-    q3 = (Fraction(0),) + point
-    grad_a = tuple(g.eval_at(q3) for g in spec.g_a.gradient())
-    grad_b = tuple(g.eval_at(q3) for g in spec.g_b.gradient())
+    curve_report = _classify(spec.curve_a(), p, "C")
+    point = curve_report.point
+    grad_c = curve_report.witness["gradient"]
     witness = {
-        "gradient_a": grad_a,
-        "gradient_b": grad_b,
+        "gradient_a": (spec.g_a.coefficient_in(0, 1).eval_at(point),) + grad_c,
+        "gradient_b": (spec.g_b.coefficient_in(0, 1).eval_at(point),)
+        + tuple(g / lam for g in grad_c),
         "gluing_scalar": lam,
     }
-    if not any(grad_a):
-        return SingularityReport(
-            point, REFUTED, reason="S_A singular at p", witness=witness
-        )
-    if not any(grad_b):
-        return SingularityReport(
-            point, REFUTED, reason="S_B singular at p", witness=witness
-        )
-    curve_report = curve_double_point(curve, point)
-    witness["curve_hessian_det"] = curve_report.witness.get("hessian_det")
-    witness["curve_gradient"] = curve_report.witness.get("gradient")
-    if curve_report.kind == SMOOTH:
-        return SingularityReport(point, REFUTED, reason="C smooth at p", witness=witness)
-    if curve_report.kind != NODE_A1:
-        return SingularityReport(
-            point, REFUTED, reason="C has degenerate double point", witness=witness
-        )
-    return SingularityReport(point, T1, witness=witness)
+    reason = None
+    if not any(witness["gradient_a"]):
+        reason = "S_A singular at p"
+    elif not any(witness["gradient_b"]):
+        reason = "S_B singular at p"
+    else:
+        witness["curve_hessian_det"] = curve_report.witness.get("hessian_det")
+        witness["curve_gradient"] = grad_c
+        if curve_report.kind == SMOOTH:
+            reason = "C smooth at p"
+        elif curve_report.kind != NODE_A1:
+            reason = "C has degenerate double point"
+    kind = T1 if reason is None else REFUTED
+    return SingularityReport(point, kind, reason=reason, witness=witness)
 
 
 @dataclass(frozen=True)

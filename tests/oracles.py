@@ -4,7 +4,8 @@ algorithm built on them, a determinant by Fraction elimination, an
 exhaustive minor-search rank over Q and modulo p, a Gauss-Jordan solver
 over Fraction, rational roots by the rational root theorem, the
 recentring of a polynomial by generic composition, values, gradients,
-Hessians and the limit Hessian through derivative polynomials, and condition
+Hessians and the limit Hessian through derivative polynomials, T1
+certification from the gradient polynomials of both charts, and condition
 matrix rows evaluated in Fraction arithmetic."""
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from itertools import combinations
 from math import isqrt, lcm
 from typing import Sequence
 
+from nodal_degen.errors import GluingError, PointNotOnSurface
 from nodal_degen.linalg import RatMatrix
-from nodal_degen.polynomials import Monomial, MultiPoly, grlex_key
+from nodal_degen.polynomials import Monomial, MultiPoly, format_point, grlex_key
+from nodal_degen.singularities import REFUTED, T1, S0Spec, SingularityReport
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -241,6 +244,46 @@ def value_gradient_hessian_by_derivatives(f: MultiPoly, q: Sequence):
         tuple(g.eval_at(q) for g in grads),
         tuple(tuple(g.derive(j).eval_at(q) for j in range(f.arity)) for g in grads),
     )
+
+
+def certify_t1_by_gradients(spec: S0Spec, p: Sequence) -> SingularityReport:
+    """T1 certification at the R-point p = (z, u) with every partial read from
+    a derivative polynomial: both chart gradients are evaluated at (0, p), C
+    is each chart composed with v0 := 0, and C's Hessian determinant is taken
+    by Fraction elimination.  Same refutations, in the same order, as
+    ``singularities.certify_t1``; the curve Hessian determinant is reported
+    only when nonzero."""
+    z, u = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    on_r = [MultiPoly.zero(2), z, u]
+    curve, curve_b = spec.g_a.compose(on_r), spec.g_b.compose(on_r)
+    lam = curve.scalar_ratio(curve_b)
+    if lam is None or lam == 0:
+        raise GluingError("chart restrictions to R cut different curves")
+    point = tuple(Fraction(x) for x in p)
+    value, curve_grad, second = value_gradient_hessian_by_derivatives(curve, point)
+    if value != 0:
+        raise PointNotOnSurface(f"point {format_point(point)} not on C (value {value})")
+    q3 = (Fraction(0),) + point
+    witness = {
+        "gradient_a": tuple(g.eval_at(q3) for g in spec.g_a.gradient()),
+        "gradient_b": tuple(g.eval_at(q3) for g in spec.g_b.gradient()),
+        "gluing_scalar": lam,
+    }
+    if not any(witness["gradient_a"]):
+        return SingularityReport(point, REFUTED, reason="S_A singular at p", witness=witness)
+    if not any(witness["gradient_b"]):
+        return SingularityReport(point, REFUTED, reason="S_B singular at p", witness=witness)
+    witness["curve_hessian_det"] = None
+    witness["curve_gradient"] = curve_grad
+    if any(curve_grad):
+        return SingularityReport(point, REFUTED, reason="C smooth at p", witness=witness)
+    det = fraction_det(second)
+    if det == 0:
+        return SingularityReport(
+            point, REFUTED, reason="C has degenerate double point", witness=witness
+        )
+    witness["curve_hessian_det"] = det
+    return SingularityReport(point, T1, witness=witness)
 
 
 def limit_hessian_by_derivatives(p: MultiPoly) -> RatMatrix:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from nodal_degen import cli
-from nodal_degen.constructions import SurfaceWitness, witness_to_json
+from nodal_degen.constructions import LineArrangement, SurfaceWitness, witness_to_json
 from nodal_degen.degeneration import hessian_limit_check
 from nodal_degen.linalg import RatMatrix
 from nodal_degen.polynomials import MultiPoly, poly
@@ -212,8 +212,6 @@ P4 = ("x", "y", "z", "tau")
 def _engineered_t1_failure() -> SurfaceWitness:
     """A structurally valid witness whose phi2 vanishes at one node, so the
     glued fibre is singular (not T1) there."""
-    from nodal_degen.constructions import LineArrangement
-
     lines = [poly("x - z", P2), poly("y - z", P2), poly("x + y - 3*z", P2)]
     arrangement = LineArrangement.from_lines(lines)
     assert all(p[0] != 0 for p in arrangement.nodes)

@@ -418,6 +418,11 @@ _MALFORMED = {
     "certify:wrong-arity-sB": (
         ["certify", "{w}"], {"w": _witness(sB={"arity": 3, "terms": [_term([2, 0, 0])]})}, 65,
     ),
+    "certify:duplicate-exponent-sB": (
+        ["certify", "{w}"],
+        {"w": lambda witness: _with(
+            witness, sB=_with(witness["sB"], terms=witness["sB"]["terms"] + witness["sB"]["terms"][:1]))}, 65,
+    ),
     "certify:not-json": (["certify", "{w}"], {"w": "[1, 2"}, 65),
     "certify:missing-key": (["certify", "{w}"], {"w": _witness(sB=None)}, 65),
     "certify:float-d": (["certify", "{w}"], {"w": _witness(d=3.7)}, 65),

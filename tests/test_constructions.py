@@ -133,7 +133,7 @@ def test_blowup_chart_identity():
         s_power = MultiPoly(3, {(d - 1, 0, 0): Fraction(1)})
         assert pulled == s_power * w.blowup_chart_a
         # restriction to the exceptional plane is the dehomogenized arrangement
-        restricted = w.blowup_chart_a.set_var(0, 0).without_var(0)
+        restricted = w.blowup_chart_a.coefficient_in(0, 0)
         assert restricted == w.phi1.dehomogenize(0)
 
 

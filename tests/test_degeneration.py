@@ -23,7 +23,7 @@ from nodal_degen.degeneration import (
 )
 from nodal_degen.linalg import RatMatrix
 from nodal_degen.polynomials import MultiPoly, monomials_of_degree, poly
-from nodal_degen.singularities import NODE_A1
+from nodal_degen.singularities import NODE_A1, classify_point
 from oracles import limit_hessian_by_derivatives
 
 YZU = ("y", "z", "u")
@@ -93,9 +93,6 @@ def test_node_family_converges_to_origin():
 
 
 def test_general_fibre_sample_is_all_nodes():
-    from nodal_degen.degeneration import deformation_slice
-    from nodal_degen.singularities import classify_point
-
     family = deformation_slice(Fraction(-9, 4))
     assert classify_point(family.surface_chart, family.node_point()).kind == NODE_A1
 

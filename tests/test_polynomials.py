@@ -133,10 +133,16 @@ def test_scalar_ratio():
 def test_permute_and_drop():
     p = poly("x**2*y + z", XYZ)
     assert p.permute_vars((2, 0, 1)) == poly("y**2*z + x", XYZ)
-    q = poly("y**2 + 1", XYZ)
-    assert q.without_var(0) == poly("x**2 + 1", XY)
-    with pytest.raises(ArityError):
-        p.without_var(0)
+    q = poly("x**2*y + 3*x*z - y**2 + 1", XYZ)
+    # the restriction to x = 0 and the normal coefficient, in the slots (y, z)
+    assert q.coefficient_in(0, 0) == poly("-x**2 + 1", XY)
+    assert q.coefficient_in(0, 1) == poly("3*y", XY)
+    assert q.coefficient_in(0, 2) == poly("x", XY)
+    assert q.coefficient_in(0, 3).is_zero()
+    assert q.coefficient_in(2, 0) == poly("x**2*y - y**2 + 1", XY)
+    for var in (-1, 3):
+        with pytest.raises(ArityError):
+            q.coefficient_in(var, 0)
 
 
 def test_json_round_trip_and_canonical_order():
@@ -175,6 +181,7 @@ def test_zero_denominator_is_a_data_format_error():
         {"arity": True, "terms": []},
         {"arity": 2, "terms": [{"e": [1, 0], "c": "1/0"}]},
         {"arity": 2, "terms": [{"e": [1, 0]}]},
+        {"arity": 2, "terms": [{"e": [1, 0], "c": "1"}, {"e": [1, 0], "c": "2"}]},
         {"terms": []},
         {"arity": 2},
         ["not", "a", "document"],

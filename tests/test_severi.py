@@ -52,8 +52,6 @@ def test_restricted_oracle_full_grid():
 
 
 def test_restricted_oracle_rejects_zero_multiplier():
-    from nodal_degen.polynomials import MultiPoly
-
     with pytest.raises(ValueError):
         restricted_dim_oracle(2, 3, MultiPoly.zero(4))
     with pytest.raises(ValueError):

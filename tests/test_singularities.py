@@ -5,9 +5,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from nodal_degen.constructions import build_witness, central_fibre
 from nodal_degen.errors import ArityError, GluingError, PointNotOnSurface
 from nodal_degen.linalg import RatMatrix
 from nodal_degen.groebner import groebner_basis
@@ -21,13 +22,14 @@ from nodal_degen.singularities import (
     SMOOTH,
     T1,
     S0Spec,
+    SingularityReport,
     _rational_roots,
     certify_t1,
     classify_point,
     curve_double_point,
     exclude_extra_singularities,
 )
-from oracles import rational_roots_by_divisors, solve_unique
+from oracles import certify_t1_by_gradients, rational_roots_by_divisors, solve_unique
 
 SVW = ("s", "v", "w")
 YZU = ("y", "z", "u")
@@ -215,8 +217,8 @@ def test_t1_iff_half_hessian_nonzero(data):
     for e in exps:
         coeffs[e] = Fraction(data.draw(st.integers(-3, 3)))
     f2 = MultiPoly(4, coeffs)
-    g_a = MultiPoly.variable(3, 0) + f2.set_var(0, 0).without_var(0)
-    g_b = MultiPoly.variable(3, 0) + f2.set_var(1, 0).without_var(1)
+    g_a = MultiPoly.variable(3, 0) + f2.coefficient_in(0, 0)
+    g_b = MultiPoly.variable(3, 0) + f2.coefficient_in(1, 0)
     spec = S0Spec(g_a, g_b)
     a = f2.coefficient((0, 0, 2, 0))
     b = f2.coefficient((0, 0, 1, 1))
@@ -224,6 +226,80 @@ def test_t1_iff_half_hessian_nonzero(data):
     half_hessian_det = a * c - b * b / 4
     report = certify_t1(spec, (0, 0))
     assert (report.kind == T1) == (half_hessian_det != 0)
+
+
+_T1_REASONS = (
+    None,  # T1
+    "S_A singular at p",
+    "S_B singular at p",
+    "C smooth at p",
+    "C has degenerate double point",
+)
+
+
+@st.composite
+def _glued_fibres(draw):
+    """(spec, p, reason): g = v0*N + r*v0**2 + C in each chart, with C_B = C / lam
+    and N, C drawn around the origin so that certify_t1 refutes with the drawn
+    reason (None: T1 holds), then moved from the origin of R to p."""
+    small = st.integers(-3, 3).map(Fraction)
+    nonzero = small.filter(bool)
+    reason = draw(st.sampled_from(_T1_REASONS))
+
+    def form(k: int, v0: int = 0) -> MultiPoly:
+        """A drawn form of degree k in (z, u), times v0**v0."""
+        return MultiPoly(3, {(v0, i, k - i): draw(small) for i in range(k + 1)})
+
+    if reason == "C smooth at p":
+        linear = MultiPoly(3, {(0, 1, 0): draw(nonzero), (0, 0, 1): draw(small)})
+        curve = linear + form(2)
+    elif reason == "C has degenerate double point":
+        curve = form(1) ** 2 * draw(small)
+    elif reason is None:
+        a, b, c = draw(small), draw(small), draw(small)
+        assume(b * b != 4 * a * c)
+        curve = MultiPoly(3, {(0, 2, 0): a, (0, 1, 1): b, (0, 0, 2): c})
+    else:
+        curve = form(2)
+    curve = curve + form(3)
+    n_a, n_b = draw(nonzero), draw(nonzero)
+    if reason == "S_A singular at p":
+        n_a, n_b = Fraction(0), draw(small)  # S_B may be singular too; S_A is named first
+    elif reason == "S_B singular at p":
+        n_b = Fraction(0)
+    lam = draw(nonzero)
+    v0 = MultiPoly.variable(3, 0)
+    g_a = v0 * n_a + form(1, 1) + form(0, 2) + curve
+    g_b = v0 * n_b + form(1, 1) + form(0, 2) + curve * (1 / lam)
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    p = (draw(rational), draw(rational))
+    shift = (0, -p[0], -p[1])
+    return S0Spec(g_a.translate(shift), g_b.translate(shift)), p, reason
+
+
+def _assert_t1_routes_agree(spec: S0Spec, p) -> SingularityReport:
+    fast, slow = certify_t1(spec, p), certify_t1_by_gradients(spec, p)
+    assert (fast.kind, fast.reason) == (slow.kind, slow.reason)
+    for key in ("gradient_a", "gradient_b", "gluing_scalar", "curve_hessian_det"):
+        assert fast.witness.get(key) == slow.witness.get(key), key
+    return fast
+
+
+@settings(max_examples=150, deadline=None)
+@given(_glued_fibres())
+def test_t1_agrees_with_gradient_polynomials(case):
+    spec, p, reason = case
+    report = _assert_t1_routes_agree(spec, p)
+    assert report.reason == reason
+    assert (report.kind == T1) == (reason is None)
+
+
+def test_t1_agrees_with_gradient_polynomials_on_witnesses():
+    for d in (3, 4, 5):
+        for seed in range(5):
+            spec = central_fibre(build_witness(d, seed))
+            for p in spec.claimed_t1:
+                assert _assert_t1_routes_agree(spec, p).kind == T1, (d, seed, p)
 
 
 # ------------------------------------------------------------- exclusion op
@@ -324,7 +400,10 @@ def test_exclusion_verdict_json(text, allowed, status, detail, points):
 
 @st.composite
 def _nodal_charts(draw):
-    """Q + C3 (+ C4) with Q a nondegenerate quadratic form, recentred at P."""
+    """Q + C3 (+ C4) with Q a nondegenerate quadratic form, recentred at P.
+
+    P is a node, but the higher terms may add singular points elsewhere:
+    v0*v2**2 + v0*v2 + v1**2 has a second node at (0, 0, -1)."""
     coeff = st.integers(-4, 4).map(Fraction)
     q = MultiPoly(3, {e: draw(coeff) for e in monomials_of_degree(3, 2)})
     assume(RatMatrix.from_rows(q.value_gradient_hessian((0, 0, 0))[2]).det() != 0)
@@ -338,13 +417,19 @@ def _nodal_charts(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(_nodal_charts())
+@example((poly("s*w**2 + s*w + v**2", SVW), (0, 0, 0)))
 def test_nodal_chart_stop_keeps_basis_and_verdict(chart):
     f, P = chart
     gens = [f, *f.gradient()]
-    assert groebner_basis(gens, zeros=[P]).basis == groebner_basis(gens).basis
+    full = groebner_basis(gens).basis
+    assert groebner_basis(gens, zeros=[P]).basis == full
+    # at a node the Jacobian ideal is locally the ideal of P, so P is the
+    # whole singular locus iff the full basis is that ideal's
+    only_p = set(full) == {MultiPoly.variable(3, i) - P[i] for i in range(3)}
     r = exclude_extra_singularities(f, [P])
-    assert r.status == CERTIFIED
-    assert r.singular_points == (P,)
+    assert (r.status == CERTIFIED) == only_p
+    if only_p:
+        assert r.singular_points == (P,)
 
 
 def test_exclusion_large_end_coefficients_certified():
