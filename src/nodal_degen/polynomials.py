@@ -324,8 +324,20 @@ class MultiPoly:
         return res
 
     def set_var(self, var: int, value) -> "MultiPoly":
-        """Substitute the constant ``value`` for variable ``var``."""
-        return self.substitute(var, MultiPoly.const(self.arity, value))
+        """Substitute the constant ``value`` for variable ``var``: one pass
+        adding c * value**e[var] into the monomial with that slot set to 0."""
+        if not 0 <= var < self.arity:
+            raise ArityError(f"variable index {var} out of range for arity {self.arity}")
+        a = Fraction(value)
+        powers = [Fraction(1)]
+        res: dict[Monomial, Fraction] = {}
+        for e, c in self._terms.items():
+            k = e[var]
+            while len(powers) <= k:
+                powers.append(powers[-1] * a)
+            rest = e[:var] + (0,) + e[var + 1 :]
+            res[rest] = res.get(rest, 0) + c * powers[k]
+        return MultiPoly(self.arity, res)
 
     def compose(self, exprs: Sequence["MultiPoly"]) -> "MultiPoly":
         """Simultaneous substitution v_i := exprs[i].

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nodal_degen import groebner
 from nodal_degen.errors import ArityError
 from nodal_degen.groebner import default_degree_cap, groebner_basis
-from nodal_degen.polynomials import MultiPoly, poly
+from nodal_degen.polynomials import MultiPoly, grlex_key, poly
 from oracles import buchberger, normal_form, s_polynomial
 
 XY = ("x", "y")
@@ -89,11 +89,72 @@ def test_zero_ideal():
     assert res.status == "ok" and res.basis == ()
 
 
+def test_zero_ideal_reports_the_cap_passed():
+    zero = [MultiPoly.zero(2)]
+    assert groebner_basis(zero, degree_cap=0).degree_cap == 0
+    assert groebner_basis(zero, degree_cap=7).degree_cap == 7
+    assert groebner_basis(zero).degree_cap == default_degree_cap(zero) == 4
+
+
+@pytest.mark.parametrize("gens", [[], [MultiPoly.zero(2)], [poly("x", XY)]])
+def test_negative_degree_cap_rejected(gens):
+    with pytest.raises(ValueError):
+        groebner_basis(gens, degree_cap=-3)
+
+
 def test_normal_form_membership():
     gens = [poly("x - y", XYZ), poly("y - z", XYZ)]
     basis = list(groebner_basis(gens).basis)
     assert normal_form(poly("x - z", XYZ), basis).is_zero()
     assert not normal_form(poly("x + z", XYZ), basis).is_zero()
+
+
+# ---------------------------------------------------------- packed monomials
+
+
+@st.composite
+def _packed_cases(draw):
+    """A packing and exponent vectors up to its field limit 2**(width - 1) - 1:
+    a pair whose product stays within the limit, and a pair whose lcm does."""
+    arity = draw(st.integers(0, 4))
+    cap = draw(st.sampled_from([0, 15, 2**15, 2**20]))
+    # the width rule, restated: a guard bit above room for twice the cap
+    limit = 2 ** (max(16, cap.bit_length() + 2) - 1) - 1
+
+    def vector(budget):
+        e = []
+        for _ in range(arity):
+            e.append(draw(st.integers(0, budget)))
+            budget -= e[-1]
+        return tuple(draw(st.permutations(e)))
+
+    a = vector(limit)
+    b = vector(limit - sum(a))
+    c, d = [], []
+    for x in vector(limit):  # the lcm: one of c, d has x in this field
+        y = draw(st.integers(0, x))
+        u, v = (x, y) if draw(st.booleans()) else (y, x)
+        c.append(u)
+        d.append(v)
+    return groebner._Packing(arity, cap), a, b, tuple(c), tuple(d)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_packed_cases())
+def test_packing_matches_tuple_definitions(case):
+    pk, a, b, c, d = case
+    pa, pb, pc, pd = (pk.pack(e) for e in (a, b, c, d))
+    ab = tuple(x + y for x, y in zip(a, b))
+    for e in (a, b, c, d, ab):
+        assert pk.unpack(pk.pack(e)) == e
+    for x, y, px, py in ((a, b, pa, pb), (c, d, pc, pd), (a, ab, pa, pk.pack(ab))):
+        assert (px < py) == (grlex_key(x) < grlex_key(y))
+        assert (px == py) == (x == y)
+        assert pk.divides(px, py) == all(u <= v for u, v in zip(x, y))
+        assert pk.divides(py, px) == all(v <= u for u, v in zip(x, y))
+    assert pa + pb == pk.pack(ab) and pk.pack(ab) - pb == pa
+    assert pk.lcm(pc, pd) == pk.lcm(pd, pc) == pk.pack(tuple(map(max, c, d)))
+    assert pk.lcm(pa, pb) == pk.pack(tuple(map(max, a, b)))
 
 
 # ------------------------------------------------ plain Buchberger oracle
@@ -134,6 +195,28 @@ def test_basis_matches_plain_buchberger(gens):
     # every small grid point is offered; the run counts the common zeros
     grid = list(product((-1, 0, 1), repeat=gens[0].arity))
     assert groebner_basis(gens, degree_cap=24, zeros=grid) == res
+
+
+@st.composite
+def _wide_ideals(draw):
+    """Ideals in 1 to 4 variables; a monomial is a multiset of at most three
+    variables."""
+    arity = draw(st.integers(1, 4))
+    monomial = st.lists(st.integers(0, arity - 1), max_size=3).map(
+        lambda vs: tuple(vs.count(k) for k in range(arity))
+    )
+    coeff = st.integers(-3, 3).filter(bool).map(Fraction)
+    terms = st.dictionaries(monomial, coeff, min_size=1, max_size=3)
+    return [MultiPoly(arity, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_ideals())
+def test_basis_matches_plain_buchberger_with_wide_fields(gens):
+    # 2**16 + 3 needs 17 bits, so every packed field is 19 bits wide
+    res = groebner_basis(gens, degree_cap=2**16 + 3)
+    assert res.status == "ok"
+    assert res.basis == buchberger(gens)
 
 
 # ------------------------------------------------------ verified-zeros stop

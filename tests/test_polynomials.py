@@ -108,6 +108,15 @@ def test_substitute_identity_and_zero():
     assert poly("x*y", XY).substitute(0, MultiPoly.zero(2)).is_zero()
 
 
+def test_set_var_examples():
+    X = ("x",)
+    assert poly("x**2 - 3*x + 2", X).set_var(0, 1).is_zero()
+    assert poly("x**2 + 3", X).set_var(0, 0) == MultiPoly.const(1, 3)
+    assert poly("x**2*y + x - y", XY).set_var(0, Fraction(1, 2)) == poly("1/2 - 3/4*y", XY)
+    with pytest.raises(ArityError):
+        poly("x", XY).set_var(2, 1)
+
+
 def test_dehomogenize():
     assert poly("x*w + y**2", ("x", "y", "w")).dehomogenize(2) == poly("x + y**2", XY)
 
@@ -292,6 +301,14 @@ rationals_with_zero = st.one_of(
 def test_translate_matches_compose_oracle(p, data):
     point = data.draw(st.lists(rationals_with_zero, min_size=p.arity, max_size=p.arity))
     assert p.translate(point) == translate_by_compose(p, point)
+
+
+@settings(max_examples=150)
+@given(polys_of_total_degree(), st.data())
+def test_set_var_matches_substitute(p, data):
+    var = data.draw(st.integers(0, p.arity - 1))
+    value = data.draw(rationals_with_zero)
+    assert p.set_var(var, value) == p.substitute(var, MultiPoly.const(p.arity, value))
 
 
 @settings(max_examples=150)
