@@ -261,7 +261,8 @@ def cmd_deform_check(args, manifest: RunManifest) -> int:
         raise _fail(
             EXIT_USAGE, "deform-check: central fibre is the T1 limit, not a node"
         )
-    if deformation_slice(t) is None:
+    family = deformation_slice(t)
+    if family is None:
         doc = {
             "t": format_rational(t),
             "status": "NoRationalSlice",
@@ -269,7 +270,7 @@ def cmd_deform_check(args, manifest: RunManifest) -> int:
         }
         _emit(doc, args.json, f"no rational slice at t = {t} (-4t is not a square)")
         return EXIT_INCONCLUSIVE
-    report = verify_t1_to_node(t)
+    report = verify_t1_to_node(family)
     ok = report.kind == NODE_A1 and report.witness.get("tangent_cone_ratio") is not None
     doc = report.to_json()
     doc["t"] = format_rational(t)

@@ -58,7 +58,7 @@ class FamilySlice:
 
 def slice_chart(t: Fraction, alpha: Fraction) -> MultiPoly:
     """y*(y + alpha + z**2 + u**2) - t, the chart equation after eliminating x."""
-    return MultiPoly(
+    return MultiPoly._trusted(
         3,
         {
             (2, 0, 0): Fraction(1),
@@ -87,7 +87,7 @@ def deformation_slice(t) -> FamilySlice | None:
 
 def tangent_cone_prediction(alpha: Fraction) -> MultiPoly:
     """Recentred quadratic part 2*y**2 - alpha*z**2 - alpha*u**2 of the node."""
-    return MultiPoly(
+    return MultiPoly._trusted(
         3,
         {
             (2, 0, 0): Fraction(2),
@@ -100,18 +100,22 @@ def tangent_cone_prediction(alpha: Fraction) -> MultiPoly:
 def verify_t1_to_node(t) -> SingularityReport:
     """Certify that the slice at t carries a node at its predicted point.
 
+    ``t`` is the base value, or the FamilySlice already derived from it.
     Recentres the chart once at (-alpha/2, 0, 0), classifies the recentred
     chart at the origin and compares its degree-2 part with the predicted
     tangent cone up to a scalar; the report carries the original point.
     Raises ValueError at t = 0 (the central fibre is the T1 limit, not a node)
     and when -4t is not a rational square.
     """
-    t = Fraction(t)
-    if t == 0:
-        raise ValueError("central fibre is the T1 limit, not a node")
-    family = deformation_slice(t)
-    if family is None:
-        raise ValueError(f"-4t = {-4 * t} is not a rational square; no rational slice")
+    if isinstance(t, FamilySlice):
+        family = t
+    else:
+        t = Fraction(t)
+        if t == 0:
+            raise ValueError("central fibre is the T1 limit, not a node")
+        family = deformation_slice(t)
+        if family is None:
+            raise ValueError(f"-4t = {-4 * t} is not a rational square; no rational slice")
     point = family.node_point()
     recentred = family.surface_chart.translate(point)
     report = classify_point(recentred, (0, 0, 0))
@@ -205,7 +209,8 @@ def limit_hessian(p: MultiPoly) -> RatMatrix:
 
 
 def binary_quadric_discriminant(p: MultiPoly) -> Fraction:
-    """disc(a*z**2 + b*z*u + c*u**2) = a*c - b**2/4 for the restriction p(0,0,z,u)."""
+    """disc(a*z**2 + b*z*u + c*u**2) = a*c - b**2/4, where a, b, c are the
+    coefficients of z**2, z*u, u**2 in p: the quadric part of p(0, 0, z, u)."""
     a = p.coefficient((0, 0, 2, 0))
     b = p.coefficient((0, 0, 1, 1))
     c = p.coefficient((0, 0, 0, 2))
@@ -216,7 +221,7 @@ def hessian_limit_check(p: MultiPoly) -> HessianLimitResult:
     """Verify det(B0) = disc(p2(0,0,z,u)) exactly (degenerate cases included)."""
     b0 = limit_hessian(p)
     det = b0.det()
-    disc = binary_quadric_discriminant(p.degree_part(2))
+    disc = binary_quadric_discriminant(p)
     verdict = VERIFIED if det == disc else REFUTED_IDENTITY
     return HessianLimitResult(verdict, b0, det, disc)
 

@@ -116,7 +116,9 @@ def _to_multipoly(f: _IntPoly, pk: _Packing) -> MultiPoly:
     if not f:
         return MultiPoly.zero(pk.arity)
     lc = int(f[max(f)])
-    return MultiPoly(pk.arity, {pk.unpack(e): Fraction(int(c), lc) for e, c in f.items()})
+    return MultiPoly._trusted(
+        pk.arity, {pk.unpack(e): Fraction(int(c), lc) for e, c in f.items()}
+    )
 
 
 def _normalize(f: _IntPoly) -> _IntPoly:

@@ -10,13 +10,20 @@ floating point is used anywhere.  The canonical term order is graded
 lexicographic (compare total degree first, then the exponent tuple, with
 earlier variables ranked higher), and serialized files list terms in
 descending canonical order.
+
+Invariant: every polynomial holds exponent tuples of ints, one per variable,
+mapped to nonzero ``Fraction`` values.  ``MultiPoly(arity, terms)`` checks
+and converts outside input into that form.  What the methods below build
+from such terms already has it, up to the zeros that cancellation leaves, so
+they wrap their results with ``MultiPoly._trusted``, which drops those zeros
+and checks nothing else.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Mapping, Sequence
 
 from .errors import ArityError, DataFormatError
@@ -28,6 +35,7 @@ Monomial = tuple[int, ...]
 MINUS_INFINITY = float("-inf")
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_set = object.__setattr__
 
 
 def parse_rational(text: str) -> Fraction:
@@ -82,9 +90,18 @@ class MultiPoly:
             coeff = Fraction(coeff)
             if coeff:
                 clean[exps] = coeff
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set(self, "arity", arity)
+        _set(self, "_terms", clean)
+        _set(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, arity: int, terms: Mapping[Monomial, Fraction]) -> "MultiPoly":
+        """Wrap terms that already satisfy the module invariant, dropping zeros."""
+        p = object.__new__(cls)
+        _set(p, "arity", arity)
+        _set(p, "_terms", {e: c for e, c in terms.items() if c})
+        _set(p, "_hash", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -145,7 +162,7 @@ class MultiPoly:
 
     def degree_part(self, k: int) -> "MultiPoly":
         """Sub-polynomial made of the terms of total degree exactly k."""
-        return MultiPoly(
+        return MultiPoly._trusted(
             self.arity, {e: c for e, c in self._terms.items() if sum(e) == k}
         )
 
@@ -161,17 +178,13 @@ class MultiPoly:
         self._check_arity(other)
         res = dict(self._terms)
         for e, c in other._terms.items():
-            s = res.get(e, Fraction(0)) + c
-            if s:
-                res[e] = s
-            else:
-                res.pop(e, None)
-        return MultiPoly(self.arity, res)
+            res[e] = res[e] + c if e in res else c
+        return MultiPoly._trusted(self.arity, res)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.arity, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._trusted(self.arity, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -184,18 +197,14 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return MultiPoly(self.arity, {e: c * v for e, v in self._terms.items()})
+            return MultiPoly._trusted(self.arity, {e: c * v for e, v in self._terms.items()})
         self._check_arity(other)
         res: dict[Monomial, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = res.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    res[e] = s
-                else:
-                    res.pop(e, None)
-        return MultiPoly(self.arity, res)
+                res[e] = res[e] + c1 * c2 if e in res else c1 * c2
+        return MultiPoly._trusted(self.arity, res)
 
     __rmul__ = __mul__
 
@@ -222,7 +231,7 @@ class MultiPoly:
         h = self._hash
         if h is None:
             h = hash((self.arity, tuple(sorted(self._terms.items()))))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
 
     # ---------------------------------------------------------------- calculus
@@ -231,79 +240,85 @@ class MultiPoly:
         """Exact formal partial derivative with respect to variable ``var``."""
         if not 0 <= var < self.arity:
             raise ArityError(f"variable index {var} out of range for arity {self.arity}")
-        res: dict[Monomial, Fraction] = {}
-        for e, c in self._terms.items():
-            k = e[var]
-            if k:
-                e2 = e[:var] + (k - 1,) + e[var + 1 :]
-                res[e2] = res.get(e2, Fraction(0)) + c * k
-        return MultiPoly(self.arity, res)
+        res = {
+            e[:var] + (e[var] - 1,) + e[var + 1 :]: c * e[var]
+            for e, c in self._terms.items()
+            if e[var]
+        }
+        return MultiPoly._trusted(self.arity, res)
 
     def gradient(self) -> tuple["MultiPoly", ...]:
         return tuple(self.derive(i) for i in range(self.arity))
 
     def eval_at(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point."""
-        if len(point) != self.arity:
-            raise ArityError(f"point length {len(point)} does not match arity {self.arity}")
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            v = c
-            for x, k in zip(pt, e):
-                if k:
-                    v *= x**k
-            total += v
-        return total
+        """Exact value at a rational point: the order-0 jet there."""
+        jet, den = self._jet(point, 0)
+        return Fraction(jet.get((0,) * self.arity, 0), den)
 
     def value_gradient_hessian(
         self, point: Sequence
     ) -> tuple[Fraction, tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
-        """Exact value, gradient and Hessian at a rational point.
-
-        One Taylor shift moves the point to the origin; there the value is
-        the constant term, the gradient the linear coefficients and the
-        Hessian the quadratic ones, with the diagonal doubled.
-        """
-        terms = self.translate(point)._terms
-        n = self.arity
-
-        def coeff(*variables: int) -> Fraction:
-            exps = [0] * n
-            for v in variables:
-                exps[v] += 1
-            return terms.get(tuple(exps), Fraction(0))
-
-        return (
-            coeff(),
-            tuple(coeff(i) for i in range(n)),
-            tuple(tuple(coeff(i, j) * (1 + (i == j)) for j in range(n)) for i in range(n)),
-        )
+        """Exact value, gradient and Hessian at a rational point, read from
+        the order-2 jet there: the constant term, the linear coefficients
+        and the quadratic ones with the diagonal doubled."""
+        jet, den = self._jet(point, 2)
+        zero = Fraction(0)
+        value, grad = zero, [zero] * self.arity
+        hess = [[zero] * self.arity for _ in range(self.arity)]
+        for e, c in jet.items():
+            ones = [i for i, k in enumerate(e) if k]
+            if not ones:
+                value = Fraction(c, den)
+            elif sum(e) == 1:
+                grad[ones[0]] = Fraction(c, den)
+            elif len(ones) == 1:
+                hess[ones[0]][ones[0]] = Fraction(2 * c, den)
+            else:
+                i, j = ones
+                hess[i][j] = hess[j][i] = Fraction(c, den)
+        return value, tuple(grad), tuple(map(tuple, hess))
 
     def translate(self, point: Sequence) -> "MultiPoly":
-        """Recentre: returns q with q(v) = p(v + point).
+        """Recentre: returns q with q(v) = p(v + point), the jet of order
+        deg p at the point; at the zero point this is ``self``."""
+        if len(point) == self.arity and not any(point):
+            return self
+        jet, den = self._jet(point, max(self.degree(), 0))
+        return MultiPoly._trusted(self.arity, {e: Fraction(c, den) for e, c in jet.items()})
 
-        A Taylor shift, one variable at a time: shifting x by a sends
-        x**k to the sum of C(k, j) * a**(k - j) * x**j over j = 0..k.
+    def _jet(self, point: Sequence, order: int) -> tuple[dict[Monomial, int], int]:
+        """The terms of degree at most ``order`` of q(v) = p(v + point), as
+        integer numerators over one returned denominator.
+
+        A Taylor shift, one variable at a time: shifting x by a sends x**k to
+        the sum of C(k, j) * a**(k - j) * x**j over j = 0..k.  A zero
+        coordinate needs no shift.  A term whose degree in the variables
+        already final (zero or shifted) is above ``order`` can no longer
+        reach the result, so it is dropped; no polynomial is built.
         """
         if len(point) != self.arity:
             raise ArityError(f"point length {len(point)} does not match arity {self.arity}")
-        terms: dict[Monomial, Fraction] = self._terms
+        point = [Fraction(a) for a in point]
+        final = [var for var, a in enumerate(point) if not a]
+        terms = [(e, c) for e, c in self._terms.items() if sum([e[i] for i in final]) <= order]
+        den = lcm(*(c.denominator for _, c in terms))
+        jet = {e: c.numerator * (den // c.denominator) for e, c in terms}
         for var, a in enumerate(point):
-            a = Fraction(a)
             if not a:
                 continue
-            powers = [Fraction(1)]
-            shifted: dict[Monomial, Fraction] = {}
-            for e, c in terms.items():
-                k = e[var]
-                while len(powers) <= k:
-                    powers.append(powers[-1] * a)
-                for j in range(k + 1):
+            num, q = a.numerator, a.denominator
+            top = max((e[var] for e in jet), default=0)
+            den *= q**top  # a**(k - j) is num**(k - j) * q**(top - k + j) / q**top
+            shifted: dict[Monomial, int] = {}
+            for e, c in jet.items():
+                k, room = e[var], order - sum([e[i] for i in final])
+                for j in range(min(k, room) + 1):
                     e2 = e[:var] + (j,) + e[var + 1 :]
-                    shifted[e2] = shifted.get(e2, 0) + comb(k, j) * powers[k - j] * c
-            terms = shifted
-        return MultiPoly(self.arity, terms)
+                    term = comb(k, j) * num ** (k - j) * q ** (top - k + j) * c
+                    shifted[e2] = shifted.get(e2, 0) + term
+            jet = shifted
+            final.append(var)
+        return jet, den
 
     def substitute(self, var: int, expr: "MultiPoly") -> "MultiPoly":
         """Substitute ``expr`` for variable ``var`` (other variables untouched)."""
@@ -320,7 +335,7 @@ class MultiPoly:
         res = MultiPoly.zero(self.arity)
         for e, c in self._terms.items():
             rest = e[:var] + (0,) + e[var + 1 :]
-            res = res + MultiPoly(self.arity, {rest: c}) * power(e[var])
+            res = res + MultiPoly._trusted(self.arity, {rest: c}) * power(e[var])
         return res
 
     def set_var(self, var: int, value) -> "MultiPoly":
@@ -337,7 +352,7 @@ class MultiPoly:
                 powers.append(powers[-1] * a)
             rest = e[:var] + (0,) + e[var + 1 :]
             res[rest] = res.get(rest, 0) + c * powers[k]
-        return MultiPoly(self.arity, res)
+        return MultiPoly._trusted(self.arity, res)
 
     def compose(self, exprs: Sequence["MultiPoly"]) -> "MultiPoly":
         """Simultaneous substitution v_i := exprs[i].
@@ -348,7 +363,7 @@ class MultiPoly:
         if len(exprs) != self.arity:
             raise ArityError(f"need {self.arity} expressions, got {len(exprs)}")
         if not exprs:
-            return MultiPoly(0, {(): self.constant_term()} if self._terms else {})
+            return MultiPoly._trusted(0, {(): self.constant_term()})
         target = exprs[0].arity
         for q in exprs:
             if q.arity != target:
@@ -380,7 +395,7 @@ class MultiPoly:
             tuple(e[perm[j]] for j in range(self.arity)): c
             for e, c in self._terms.items()
         }
-        return MultiPoly(self.arity, res)
+        return MultiPoly._trusted(self.arity, res)
 
     def coefficient_in(self, var: int, k: int) -> "MultiPoly":
         """The coefficient of v_var**k, a polynomial in the other variables
@@ -389,22 +404,26 @@ class MultiPoly:
         if not 0 <= var < self.arity:
             raise ArityError(f"variable index {var} out of range for arity {self.arity}")
         res = {e[:var] + e[var + 1 :]: c for e, c in self._terms.items() if e[var] == k}
-        return MultiPoly(self.arity - 1, res)
+        return MultiPoly._trusted(self.arity - 1, res)
 
     def extend(self, extra: int) -> "MultiPoly":
         """Append ``extra`` fresh variables that do not occur."""
+        if extra < 0:
+            raise ArityError(f"cannot append {extra} variables")
         pad = (0,) * extra
-        return MultiPoly(self.arity + extra, {e + pad: c for e, c in self._terms.items()})
+        return MultiPoly._trusted(
+            self.arity + extra, {e + pad: c for e, c in self._terms.items()}
+        )
 
     def dehomogenize(self, var: int) -> "MultiPoly":
         """Set the chart variable to 1 and drop its slot; input must be homogeneous."""
+        if not 0 <= var < self.arity:
+            raise ArityError(f"variable index {var} out of range for arity {self.arity}")
         if not self.is_homogeneous():
             raise ValueError("dehomogenize requires a homogeneous polynomial")
-        res: dict[Monomial, Fraction] = {}
-        for e, c in self._terms.items():
-            e2 = e[:var] + e[var + 1 :]
-            res[e2] = res.get(e2, Fraction(0)) + c
-        return MultiPoly(self.arity - 1, res)
+        return MultiPoly._trusted(
+            self.arity - 1, {e[:var] + e[var + 1 :]: c for e, c in self._terms.items()}
+        )
 
     def scalar_ratio(self, other: "MultiPoly"):
         """Return lam with self == lam*other, or None if no such rational exists.
@@ -427,56 +446,6 @@ class MultiPoly:
         return lam
 
     # ------------------------------------------------------------ input/output
-
-    @classmethod
-    def parse(cls, text: str, var_names: Sequence[str]) -> "MultiPoly":
-        """Parse expressions like ``"x**2*y - 3/2*z + 1"``.
-
-        Only +, -, *, ** with integer or fraction literals are understood; this
-        is a convenience for fixtures and tests, not a general parser.
-        """
-        arity = len(var_names)
-        index = {name: i for i, name in enumerate(var_names)}
-        compact = text.replace(" ", "")
-        if not compact:
-            raise DataFormatError("empty polynomial expression")
-        # split into signed summands, keeping ** intact
-        pieces: list[str] = []
-        current = ""
-        for i, ch in enumerate(compact):
-            if ch in "+-" and i > 0 and compact[i - 1] not in "+-*(":
-                pieces.append(current)
-                current = ch
-            else:
-                current += ch
-        pieces.append(current)
-        result = cls.zero(arity)
-        for piece in pieces:
-            sign = Fraction(1)
-            while piece and piece[0] in "+-":
-                if piece[0] == "-":
-                    sign = -sign
-                piece = piece[1:]
-            if not piece:
-                raise DataFormatError(f"dangling sign in {text!r}")
-            coeff = sign
-            exps = [0] * arity
-            for factor in piece.replace("**", "^").split("*"):
-                if not factor:
-                    raise DataFormatError(f"empty factor in {text!r}")
-                if "^" in factor:
-                    base, _, exp_text = factor.partition("^")
-                    exp = int(exp_text)
-                else:
-                    base, exp = factor, 1
-                if base in index:
-                    exps[index[base]] += exp
-                elif _RATIONAL_RE.match(base):
-                    coeff *= parse_rational(base) ** exp
-                else:
-                    raise DataFormatError(f"unknown factor {factor!r} in {text!r}")
-            result = result + cls(arity, {tuple(exps): coeff})
-        return result
 
     def render(self, var_names: Sequence[str] | None = None) -> str:
         """Human-readable form, terms in descending canonical order."""
@@ -521,6 +490,11 @@ class MultiPoly:
     def from_json(cls, data: dict) -> "MultiPoly":
         try:
             arity = json_int(data["arity"], "arity")
+            names = data.get("vars", ())
+            if "vars" in data and not (
+                type(names) is list and len(names) == arity and all(type(v) is str for v in names)
+            ):
+                raise ValueError(f"vars {names!r} do not name {arity} variables")
             terms = {}
             for entry in data["terms"]:
                 exps = tuple(json_int(v, "exponent") for v in entry["e"])
@@ -530,11 +504,6 @@ class MultiPoly:
             return cls(arity, terms)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"malformed polynomial document: {exc}") from exc
-
-
-def poly(text: str, var_names: Sequence[str]) -> MultiPoly:
-    """Shorthand for :meth:`MultiPoly.parse`."""
-    return MultiPoly.parse(text, var_names)
 
 
 def monomials_of_degree(arity: int, degree: int) -> Iterator[Monomial]:

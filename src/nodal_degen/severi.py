@@ -11,7 +11,6 @@ word-size prime is reported alongside as a cross-check.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -101,58 +100,14 @@ def linear_system_dim(spec: SystemSpec) -> int:
 
     For the restricted ci4 case this is C(d+3,3) - C(d-h+1,3) - 1 with the
     convention C(n,3) = 0 for n < 3, matching the bound arithmetic the
-    toolkit certifies (see restricted_dim_oracle for the matrix-rank route).
+    toolkit certifies; the tests cross-check it against the rank of the
+    multiplication map by a form of degree h + 2.
     """
     if spec.space == "p2":
         return choose(spec.d + 2, 2) - 1
     if spec.space == "p3":
         return choose(spec.d + 3, 3) - 1
     return choose(spec.d + 3, 3) - choose(spec.d - spec.h + 1, 3) - 1
-
-
-def restricted_dim_oracle(
-    h: int, d: int, multiplier: MultiPoly | None = None, seed: int = 0
-) -> int:
-    """Independent matrix-rank route to linear_system_dim for the ci4 case.
-
-    Counts degree-d monomials in 4 variables, subtracts the rank of the
-    multiplication map q -> q * g on the complementary degree (the subtracted
-    binomial counts forms of degree d - h - 2, so g has degree h + 2), and
-    subtracts one to projectivize.  The rank is computed by exact elimination,
-    never assumed; a zero multiplier is rejected.
-    """
-    if h < 2 or d < h - 1:
-        raise ValueError("oracle needs h >= 2 and d >= h - 1")
-    domain_degree = d - h - 2
-    domain = list(monomials_of_degree(4, domain_degree))
-    if not domain:
-        if multiplier is not None and multiplier.is_zero():
-            raise ValueError("degenerate multiplier: zero polynomial")
-        return choose(d + 3, 3) - 1
-    if multiplier is None:
-        rng = random.Random(seed)
-        while True:
-            terms = {
-                e: Fraction(rng.randint(-9, 9))
-                for e in monomials_of_degree(4, h + 2)
-            }
-            multiplier = MultiPoly(4, terms)
-            if not multiplier.is_zero():
-                break
-    if multiplier.is_zero():
-        raise ValueError("degenerate multiplier: zero polynomial")
-    if not multiplier.is_homogeneous() or multiplier.degree() != h + 2:
-        raise ValueError("multiplier must be homogeneous of degree h + 2")
-    target = {e: i for i, e in enumerate(monomials_of_degree(4, d))}
-    rows = []
-    for e in domain:
-        image = MultiPoly(4, {e: Fraction(1)}) * multiplier
-        row = [Fraction(0)] * len(target)
-        for mono, c in image.terms():
-            row[target[mono]] = c
-        rows.append(row)
-    rank = RatMatrix.from_rows(rows).rank()
-    return choose(d + 3, 3) - rank - 1
 
 
 def max_regular_delta(spec: SystemSpec) -> int:

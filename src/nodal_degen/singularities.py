@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
@@ -119,14 +120,23 @@ class S0Spec:
         if len(seen) != len(self.claimed_t1):
             raise ValueError("claimed T1 points must be pairwise distinct")
 
+    @cached_property
+    def _on_r(self) -> tuple[MultiPoly, Fraction | None, MultiPoly, MultiPoly]:
+        """What the T1 checks read from the charts, once per spec: C, the
+        unit lam with C_A = lam * C_B (None if there is none), and the
+        normal coefficients N_A and N_B (the v0-coefficients) on R."""
+        curve = self.g_a.coefficient_in(0, 0)
+        lam = curve.scalar_ratio(self.g_b.coefficient_in(0, 0))
+        return curve, lam or None, self.g_a.coefficient_in(0, 1), self.g_b.coefficient_in(0, 1)
+
     def curve_a(self) -> MultiPoly:
         """The curve C cut on R by the A-side chart, in the (z, u) coordinates."""
-        return self.g_a.coefficient_in(0, 0)
+        return self._on_r[0]
 
     def gluing_scalar(self) -> Fraction:
         """The unit lam with C_A = lam * C_B; raises GluingError if none exists."""
-        lam = self.curve_a().scalar_ratio(self.g_b.coefficient_in(0, 0))
-        if lam is None or lam == 0:
+        lam = self._on_r[1]
+        if lam is None:
             raise GluingError(
                 "chart restrictions to R cut different curves; gluing mismatch"
             )
@@ -143,16 +153,16 @@ def certify_t1(spec: S0Spec, p: Sequence) -> SingularityReport:
     Each chart's tangential partials at (0, p) are those of its restriction
     to R, that is C for the A side and C / lam for the B side, and its normal
     partial is its v0-coefficient N at p; so one classification of C at p
-    gives both gradients.
+    gives both gradients.  C, lam and both N are read once per spec.
     """
     lam = spec.gluing_scalar()  # raises GluingError on inconsistent input
-    curve_report = _classify(spec.curve_a(), p, "C")
+    curve, _, normal_a, normal_b = spec._on_r
+    curve_report = _classify(curve, p, "C")
     point = curve_report.point
     grad_c = curve_report.witness["gradient"]
     witness = {
-        "gradient_a": (spec.g_a.coefficient_in(0, 1).eval_at(point),) + grad_c,
-        "gradient_b": (spec.g_b.coefficient_in(0, 1).eval_at(point),)
-        + tuple(g / lam for g in grad_c),
+        "gradient_a": (normal_a.eval_at(point),) + grad_c,
+        "gradient_b": (normal_b.eval_at(point),) + tuple(g / lam for g in grad_c),
         "gluing_scalar": lam,
     }
     reason = None

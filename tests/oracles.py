@@ -1,24 +1,89 @@
-"""Slow, independent reference computations that the tests check the library
-against: rational S-polynomials and multivariate division, a plain Buchberger
-algorithm built on them, a determinant by Fraction elimination, an
-exhaustive minor-search rank over Q and modulo p, a Gauss-Jordan solver
-over Fraction, rational roots by the rational root theorem, the
-recentring of a polynomial by generic composition, values, gradients,
-Hessians and the limit Hessian through derivative polynomials, T1
-certification from the gradient polynomials of both charts, and condition
-matrix rows evaluated in Fraction arithmetic."""
+"""Test fixtures and slow, independent reference computations that the tests
+check the library against: a parser for polynomial literals, rational
+S-polynomials and multivariate division, a plain Buchberger algorithm built
+on them, a determinant by Fraction elimination, an exhaustive minor-search
+rank over Q and modulo p, a Gauss-Jordan solver over Fraction, rational
+roots by the rational root theorem, the recentring of a polynomial by
+generic composition, values term by term, gradients, Hessians and the
+limit Hessian through derivative polynomials and through a full Taylor
+shift, T1
+certification from the gradient polynomials of both charts, condition
+matrix rows evaluated in Fraction arithmetic, and the dimension of the
+restricted ci4 system by the rank of a multiplication map."""
 
 from __future__ import annotations
 
+import random
+import re
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 from typing import Sequence
 
-from nodal_degen.errors import GluingError, PointNotOnSurface
+from nodal_degen.errors import DataFormatError, GluingError, PointNotOnSurface
 from nodal_degen.linalg import RatMatrix
-from nodal_degen.polynomials import Monomial, MultiPoly, format_point, grlex_key
+from nodal_degen.polynomials import (
+    Monomial,
+    MultiPoly,
+    format_point,
+    grlex_key,
+    monomials_of_degree,
+    parse_rational,
+)
+from nodal_degen.severi import choose
 from nodal_degen.singularities import REFUTED, T1, S0Spec, SingularityReport
+
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def poly(text: str, var_names: Sequence[str]) -> MultiPoly:
+    """Parse expressions like ``"x**2*y - 3/2*z + 1"``.
+
+    Only +, -, *, ** with integer or fraction literals are understood; this
+    is a convenience for fixtures, not a general parser.
+    """
+    arity = len(var_names)
+    index = {name: i for i, name in enumerate(var_names)}
+    compact = text.replace(" ", "")
+    if not compact:
+        raise DataFormatError("empty polynomial expression")
+    # split into signed summands, keeping ** intact
+    pieces: list[str] = []
+    current = ""
+    for i, ch in enumerate(compact):
+        if ch in "+-" and i > 0 and compact[i - 1] not in "+-*(":
+            pieces.append(current)
+            current = ch
+        else:
+            current += ch
+    pieces.append(current)
+    result = MultiPoly.zero(arity)
+    for piece in pieces:
+        sign = Fraction(1)
+        while piece and piece[0] in "+-":
+            if piece[0] == "-":
+                sign = -sign
+            piece = piece[1:]
+        if not piece:
+            raise DataFormatError(f"dangling sign in {text!r}")
+        coeff = sign
+        exps = [0] * arity
+        for factor in piece.replace("**", "^").split("*"):
+            if not factor:
+                raise DataFormatError(f"empty factor in {text!r}")
+            if "^" in factor:
+                base, _, exp_text = factor.partition("^")
+                exp = int(exp_text)
+            else:
+                base, exp = factor, 1
+            if base in index:
+                exps[index[base]] += exp
+            elif _RATIONAL_RE.match(base):
+                coeff *= parse_rational(base) ** exp
+            else:
+                raise DataFormatError(f"unknown factor {factor!r} in {text!r}")
+        result = result + MultiPoly(arity, {tuple(exps): coeff})
+    return result
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -236,13 +301,58 @@ def translate_by_compose(p: MultiPoly, point: Sequence) -> MultiPoly:
     return p.compose(shifted)
 
 
+def evaluate(f: MultiPoly, q: Sequence) -> Fraction:
+    """f(q) as the sum over the terms of c * q_0**e_0 * ... in Fraction arithmetic."""
+    total = Fraction(0)
+    for e, c in f.terms():
+        for x, k in zip(q, e):
+            c *= Fraction(x) ** k
+        total += c
+    return total
+
+
 def value_gradient_hessian_by_derivatives(f: MultiPoly, q: Sequence):
     """(value, gradient, Hessian) at q from derivative polynomials built in full."""
     grads = f.gradient()
     return (
-        f.eval_at(q),
-        tuple(g.eval_at(q) for g in grads),
-        tuple(tuple(g.derive(j).eval_at(q) for j in range(f.arity)) for g in grads),
+        evaluate(f, q),
+        tuple(evaluate(g, q) for g in grads),
+        tuple(tuple(evaluate(g.derive(j), q) for j in range(f.arity)) for g in grads),
+    )
+
+
+def translate_by_taylor_shift(f: MultiPoly, point: Sequence) -> dict[Monomial, Fraction]:
+    """The terms of q(v) = f(v + point) by the full Taylor shift in Fraction
+    arithmetic, one variable at a time with binomial weights."""
+    terms = dict(f.terms())
+    for var, a in enumerate(point):
+        a = Fraction(a)
+        shifted: dict[Monomial, Fraction] = {}
+        for e, c in terms.items():
+            k = e[var]
+            for j in range(k + 1):
+                e2 = e[:var] + (j,) + e[var + 1 :]
+                shifted[e2] = shifted.get(e2, 0) + comb(k, j) * a ** (k - j) * c
+        terms = shifted
+    return terms
+
+
+def value_gradient_hessian_by_translate(f: MultiPoly, q: Sequence):
+    """(value, gradient, Hessian) at q read from the full Taylor shift to q:
+    the constant, linear and quadratic coefficients, the diagonal doubled."""
+    coeffs = translate_by_taylor_shift(f, q)
+    n = f.arity
+
+    def coeff(*variables: int) -> Fraction:
+        exps = [0] * n
+        for v in variables:
+            exps[v] += 1
+        return coeffs.get(tuple(exps), Fraction(0))
+
+    return (
+        coeff(),
+        tuple(coeff(i) for i in range(n)),
+        tuple(tuple(coeff(i, j) * (1 + (i == j)) for j in range(n)) for i in range(n)),
     )
 
 
@@ -265,8 +375,8 @@ def certify_t1_by_gradients(spec: S0Spec, p: Sequence) -> SingularityReport:
         raise PointNotOnSurface(f"point {format_point(point)} not on C (value {value})")
     q3 = (Fraction(0),) + point
     witness = {
-        "gradient_a": tuple(g.eval_at(q3) for g in spec.g_a.gradient()),
-        "gradient_b": tuple(g.eval_at(q3) for g in spec.g_b.gradient()),
+        "gradient_a": tuple(evaluate(g, q3) for g in spec.g_a.gradient()),
+        "gradient_b": tuple(evaluate(g, q3) for g in spec.g_b.gradient()),
         "gluing_scalar": lam,
     }
     if not any(witness["gradient_a"]):
@@ -292,14 +402,14 @@ def limit_hessian_by_derivatives(p: MultiPoly) -> RatMatrix:
     if p.arity != 4:
         raise ValueError("normal form lives in 4 variables (x, y, z, u)")
     origin = (0, 0, 0, 0)
-    if p.eval_at(origin) != 0:
+    if evaluate(p, origin) != 0:
         raise ValueError("normal form requires p(0) = 0")
     grads = p.gradient()
-    px, py, pz, pu = (g.eval_at(origin) for g in grads)
+    px, py, pz, pu = (evaluate(g, origin) for g in grads)
     if px != 1 or py != 1 or pz != 0 or pu != 0:
         raise ValueError("normal form requires linear part x + y at the origin")
     second = {
-        (i, j): grads[i].derive(j).eval_at(origin) for i in range(4) for j in range(4)
+        (i, j): evaluate(grads[i].derive(j), origin) for i in range(4) for j in range(4)
     }
     half = Fraction(1, 2)
     return RatMatrix.from_rows(
@@ -331,3 +441,48 @@ def condition_rows_by_fractions(
             row.append(v)
         rows.append(row)
     return rows
+
+
+def restricted_dim_oracle(
+    h: int, d: int, multiplier: MultiPoly | None = None, seed: int = 0
+) -> int:
+    """Independent matrix-rank route to ``severi.linear_system_dim`` for ci4.
+
+    Counts degree-d monomials in 4 variables, subtracts the rank of the
+    multiplication map q -> q * g on the complementary degree (the subtracted
+    binomial counts forms of degree d - h - 2, so g has degree h + 2), and
+    subtracts one to projectivize.  The rank is computed by exact elimination,
+    never assumed; a zero multiplier is rejected.
+    """
+    if h < 2 or d < h - 1:
+        raise ValueError("oracle needs h >= 2 and d >= h - 1")
+    domain_degree = d - h - 2
+    domain = list(monomials_of_degree(4, domain_degree))
+    if not domain:
+        if multiplier is not None and multiplier.is_zero():
+            raise ValueError("degenerate multiplier: zero polynomial")
+        return choose(d + 3, 3) - 1
+    if multiplier is None:
+        rng = random.Random(seed)
+        while True:
+            terms = {
+                e: Fraction(rng.randint(-9, 9))
+                for e in monomials_of_degree(4, h + 2)
+            }
+            multiplier = MultiPoly(4, terms)
+            if not multiplier.is_zero():
+                break
+    if multiplier.is_zero():
+        raise ValueError("degenerate multiplier: zero polynomial")
+    if not multiplier.is_homogeneous() or multiplier.degree() != h + 2:
+        raise ValueError("multiplier must be homogeneous of degree h + 2")
+    target = {e: i for i, e in enumerate(monomials_of_degree(4, d))}
+    rows = []
+    for e in domain:
+        image = MultiPoly(4, {e: Fraction(1)}) * multiplier
+        row = [Fraction(0)] * len(target)
+        for mono, c in image.terms():
+            row[target[mono]] = c
+        rows.append(row)
+    rank = RatMatrix.from_rows(rows).rank()
+    return choose(d + 3, 3) - rank - 1

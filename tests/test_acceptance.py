@@ -16,8 +16,9 @@ from nodal_degen import cli
 from nodal_degen.constructions import LineArrangement, SurfaceWitness, witness_to_json
 from nodal_degen.degeneration import hessian_limit_check
 from nodal_degen.linalg import RatMatrix
-from nodal_degen.polynomials import MultiPoly, poly
-from nodal_degen.severi import SystemSpec, linear_system_dim, restricted_dim_oracle
+from nodal_degen.polynomials import MultiPoly
+from nodal_degen.severi import SystemSpec, linear_system_dim
+from oracles import poly, restricted_dim_oracle
 from nodal_degen.singularities import S0Spec, certify_t1
 
 

@@ -11,7 +11,8 @@ import pytest
 import nodal_degen
 from nodal_degen import cli
 from nodal_degen.constructions import build_witness, witness_to_json
-from nodal_degen.polynomials import poly
+from nodal_degen.polynomials import MultiPoly
+from oracles import poly
 
 
 def run(argv):
@@ -122,6 +123,48 @@ def test_deform_check_exit_codes():
     assert code == 64
     code, _ = run(["deform-check", "--t=nonsense"])
     assert code == 64
+
+
+@pytest.mark.parametrize("t", ["1", "-2"])
+def test_deform_check_no_rational_slice_document(t):
+    code, text = run(["deform-check", f"--t={t}", "--json"])
+    assert code == 2
+    doc = json.loads(text)
+    assert doc["manifest"].pop("wall_time_ms") >= 0
+    assert doc == {
+        "manifest": {
+            "arguments": ["deform-check", f"--t={t}", "--json"],
+            "command": "deform-check",
+            "seed": None,
+            "verdict": "Inconclusive",
+            "version": nodal_degen.__version__,
+        },
+        "status": "NoRationalSlice",
+        "t": t,
+    }
+    assert run(["deform-check", f"--t={t}"]) == (
+        2, f"no rational slice at t = {t} (-4t is not a square)\n"
+    )
+
+
+def test_point_checks_validate_only_outside_polynomials(tmp_path, monkeypatch):
+    """deform-check builds every polynomial from its own terms; hessian-limit
+    validates only the polynomial it reads from its file."""
+    path = tmp_path / "p.json"
+    p = poly("x + y + 3/2*x*z - z**2 + 5*z*u + u**3", ("x", "y", "z", "u"))
+    path.write_text(json.dumps(p.to_json(("x", "y", "z", "u"))))
+    calls = []
+    validating_init = MultiPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        validating_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiPoly, "__init__", counting)
+    assert run(["deform-check", "--t=-9/4", "--json"])[0] == 0
+    assert len(calls) == 0
+    assert run(["hessian-limit", "--poly", str(path), "--json"])[0] == 0
+    assert len(calls) == 1
 
 
 def test_hessian_limit_command(tmp_path):
@@ -354,6 +397,9 @@ _MALFORMED = {
         ["hessian-limit", "--poly", "{p}"], {"p": {"arity": 4}}, 65,
     ),
     "hessian-limit:missing-file": (["hessian-limit", "--poly", "{absent}"], {}, 65),
+    "hessian-limit:vars-arity-mismatch": (
+        ["hessian-limit", "--poly", "{p}"], {"p": _with(_NORMAL_FORM, vars=["x"])}, 65,
+    ),
     "regularity:zero-denominator": (
         ["regularity", "--system", "{s}", "--points", "{p}"],
         {"s": _P2_LINE, "p": {"points": [["1/0", "0", "1"]]}}, 65,

@@ -16,7 +16,8 @@ from nodal_degen.constructions import (
     witness_to_json,
 )
 from nodal_degen.errors import DataFormatError, GenericityError, GluingError
-from nodal_degen.polynomials import MultiPoly, poly
+from nodal_degen.polynomials import MultiPoly
+from oracles import poly
 from nodal_degen.singularities import T1, certify_t1
 
 P2 = ("x", "y", "z")

@@ -17,14 +17,16 @@ from nodal_degen.degeneration import (
     limit_hessian,
     minimal_effective_multiplicity,
     rational_sqrt,
+    slice_chart,
     slice_product_identity,
+    tangent_cone_prediction,
     theta_restriction_class,
     verify_t1_to_node,
 )
 from nodal_degen.linalg import RatMatrix
-from nodal_degen.polynomials import MultiPoly, monomials_of_degree, poly
+from nodal_degen.polynomials import MultiPoly, monomials_of_degree
 from nodal_degen.singularities import NODE_A1, classify_point
-from oracles import limit_hessian_by_derivatives
+from oracles import limit_hessian_by_derivatives, poly
 
 YZU = ("y", "z", "u")
 XYZU = ("x", "y", "z", "u")
@@ -37,6 +39,15 @@ def test_slice_at_minus_one():
     s = deformation_slice(-1)
     assert s.alpha == 2
     assert s.surface_chart == poly("y**2 + 2*y + y*z**2 + y*u**2 + 1", YZU)
+
+
+def test_literal_charts_are_canonical():
+    cases = ((Fraction(-1), Fraction(2)), (Fraction(3), Fraction(0)), (Fraction(-1, 4), 1))
+    for t, alpha in cases:
+        for chart in (slice_chart(t, alpha), tangent_cone_prediction(alpha)):
+            assert chart == MultiPoly(3, dict(chart.terms()))
+            assert all(type(c) is Fraction and c for _, c in chart.terms())
+    assert slice_chart(Fraction(3), Fraction(0)) == poly("y**2 + y*z**2 + y*u**2 - 3", YZU)
 
 
 def test_slice_alpha_values():

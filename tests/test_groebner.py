@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from nodal_degen import groebner
 from nodal_degen.errors import ArityError
 from nodal_degen.groebner import default_degree_cap, groebner_basis
-from nodal_degen.polynomials import MultiPoly, grlex_key, poly
-from oracles import buchberger, normal_form, s_polynomial
+from nodal_degen.polynomials import MultiPoly, grlex_key
+from oracles import buchberger, normal_form, poly, s_polynomial
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -192,6 +192,9 @@ def test_basis_matches_plain_buchberger(gens):
     res = groebner_basis(gens, degree_cap=24)
     assert res.status == "ok"
     assert res.basis == buchberger(gens)
+    for b in res.basis:  # built by the trusted constructor: canonical terms
+        assert b == MultiPoly(b.arity, dict(b.terms()))
+        assert all(type(c) is Fraction and all(type(k) is int for k in e) for e, c in b.terms())
     # every small grid point is offered; the run counts the common zeros
     grid = list(product((-1, 0, 1), repeat=gens[0].arity))
     assert groebner_basis(gens, degree_cap=24, zeros=grid) == res

@@ -13,9 +13,15 @@ from nodal_degen.polynomials import (
     format_point,
     monomials_of_degree,
     parse_rational,
-    poly,
 )
-from oracles import translate_by_compose, value_gradient_hessian_by_derivatives
+from oracles import (
+    evaluate,
+    poly,
+    translate_by_compose,
+    translate_by_taylor_shift,
+    value_gradient_hessian_by_derivatives,
+    value_gradient_hessian_by_translate,
+)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -90,6 +96,9 @@ def test_translate_examples():
     assert poly("x**2", ("x",)).translate([1]) == poly("x**2 + 2*x + 1", ("x",))
     p = poly("x**2*y - y + 3", XY)
     assert p.translate([0, 0]) == p
+    for point in ([0], [0, 0, 0], [1, 2, 3]):
+        with pytest.raises(ArityError):
+            p.translate(point)
     q = poly("x*y + x - y - 1", XY)  # (x-1)(y+1)
     assert q.translate([1, -1]) == poly("x*y", XY)
 
@@ -194,6 +203,8 @@ def test_zero_denominator_is_a_data_format_error():
         {"terms": []},
         {"arity": 2},
         ["not", "a", "document"],
+        {"arity": 3, "vars": ["x"], "terms": []},  # vars disagree with arity
+        {"arity": 1, "vars": [7], "terms": []},  # a variable name that is no string
     ],
 )
 def test_from_json_malformed_is_a_data_format_error(doc):
@@ -275,9 +286,11 @@ def test_translate_matches_eval(p, q):
 
 
 @st.composite
-def polys_of_total_degree(draw, max_degree=6, max_terms=8):
-    """A polynomial in 1 to 4 variables of total degree at most max_degree."""
-    arity = draw(st.integers(1, 4))
+def polys_of_total_degree(draw, max_degree=6, max_terms=8, min_arity=1, arity=None):
+    """A polynomial in min_arity to 4 variables (or exactly ``arity``) of
+    total degree at most max_degree."""
+    if arity is None:
+        arity = draw(st.integers(min_arity, 4))
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         budget = draw(st.integers(0, max_degree))
@@ -301,6 +314,7 @@ rationals_with_zero = st.one_of(
 def test_translate_matches_compose_oracle(p, data):
     point = data.draw(st.lists(rationals_with_zero, min_size=p.arity, max_size=p.arity))
     assert p.translate(point) == translate_by_compose(p, point)
+    assert p.translate(point) == MultiPoly(p.arity, translate_by_taylor_shift(p, point))
 
 
 @settings(max_examples=150)
@@ -312,12 +326,47 @@ def test_set_var_matches_substitute(p, data):
 
 
 @settings(max_examples=150)
-@given(polys_of_total_degree(), st.data())
+@given(polys_of_total_degree(min_arity=0), st.data())
 def test_value_gradient_hessian_matches_derivative_oracle(p, data):
     point = data.draw(st.lists(rationals_with_zero, min_size=p.arity, max_size=p.arity))
     value, grad, hess = p.value_gradient_hessian(point)
     assert (value, grad, hess) == value_gradient_hessian_by_derivatives(p, point)
+    assert (value, grad, hess) == value_gradient_hessian_by_translate(p, point)
     assert all(type(x) is Fraction for x in (value, *grad, *sum(hess, ())))
+    assert p.eval_at(point) == value == evaluate(p, point)
+    assert type(p.eval_at(point)) is Fraction
+
+
+def _assert_canonical(p):
+    """p equals its terms rebuilt by the validating constructor, and every
+    term is an int exponent tuple of the arity with a nonzero Fraction."""
+    assert p == MultiPoly(p.arity, dict(p.terms()))
+    for e, c in p.terms():
+        assert type(c) is Fraction and c != 0
+        assert type(e) is tuple and len(e) == p.arity
+        assert all(type(k) is int for k in e)
+
+
+@settings(max_examples=150)
+@given(polys_of_total_degree(min_arity=0), st.data())
+def test_trusted_results_are_canonical(p, data):
+    n = p.arity
+    q = data.draw(polys_of_total_degree(arity=n))
+    scalar = data.draw(rationals_with_zero)
+    point = data.draw(st.lists(rationals_with_zero, min_size=n, max_size=n))
+    results = [p + q, p - q, -p, p * q, p * scalar, scalar * p, p - p, p**2]
+    results += [p.translate(point), p.extend(data.draw(st.integers(0, 2)))]
+    results += [p.degree_part(k) for k in range(7)]
+    results.append(p.permute_vars(data.draw(st.permutations(range(n)))))
+    results.append(p.compose([q] * n) if n else p.compose([]))
+    if n:
+        var = data.draw(st.integers(0, n - 1))
+        results += [p.derive(var), p.set_var(var, scalar), p.substitute(var, q)]
+        results += [p.coefficient_in(var, k) for k in range(4)]
+        results += [p.degree_part(k).dehomogenize(var) for k in range(7)]
+    for r in results:
+        _assert_canonical(r)
+    assert p.translate([0] * n) == p
 
 
 @settings(max_examples=40)

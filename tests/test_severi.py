@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nodal_degen.errors import ArityError, DataFormatError, PointNotOnSurface
 from nodal_degen.linalg import RatMatrix
-from nodal_degen.polynomials import MultiPoly, monomials_of_degree, poly
+from nodal_degen.polynomials import MultiPoly, monomials_of_degree
 from nodal_degen.severi import (
     SystemSpec,
     canonical_point,
@@ -20,10 +20,9 @@ from nodal_degen.severi import (
     max_regular_delta,
     parse_points,
     primitive_integer_point,
-    restricted_dim_oracle,
     t1_codimension,
 )
-from oracles import condition_rows_by_fractions
+from oracles import condition_rows_by_fractions, poly, restricted_dim_oracle
 
 XYZW = ("x", "y", "z", "w")
 

@@ -12,7 +12,7 @@ from nodal_degen.constructions import build_witness, central_fibre
 from nodal_degen.errors import ArityError, GluingError, PointNotOnSurface
 from nodal_degen.linalg import RatMatrix
 from nodal_degen.groebner import groebner_basis
-from nodal_degen.polynomials import MultiPoly, monomials_of_degree, poly
+from nodal_degen.polynomials import MultiPoly, monomials_of_degree
 from nodal_degen.singularities import (
     CERTIFIED,
     DEGENERATE,
@@ -29,7 +29,7 @@ from nodal_degen.singularities import (
     curve_double_point,
     exclude_extra_singularities,
 )
-from oracles import certify_t1_by_gradients, rational_roots_by_divisors, solve_unique
+from oracles import certify_t1_by_gradients, poly, rational_roots_by_divisors, solve_unique
 
 SVW = ("s", "v", "w")
 YZU = ("y", "z", "u")
