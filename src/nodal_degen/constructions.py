@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DataFormatError, GenericityError, GluingError
-from .linalg import RatMatrix
 from .polynomials import (
     MultiPoly,
     format_point,
@@ -66,22 +65,25 @@ class LineArrangement:
                 raise ValueError("arrangement members must be nonzero linear forms")
             if not line.is_homogeneous():
                 raise ValueError("arrangement members must be homogeneous")
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                if lines[i].scalar_ratio(lines[j]) is not None:
-                    raise ValueError(f"lines {i} and {j} are proportional")
+        # One cross product per pair gives its node.  A zero product is a
+        # proportional pair; a node met by an earlier pair (i, k) makes lines
+        # i, k, j concurrent, reported only once no pair is proportional.
         coeffs = [_line_coeffs(line) for line in lines]
+        first_pair: dict[tuple[Fraction, ...], tuple[int, int]] = {}
+        concurrent = None
         for i in range(len(lines)):
             for j in range(i + 1, len(lines)):
-                for k in range(j + 1, len(lines)):
-                    det = RatMatrix.from_rows([coeffs[i], coeffs[j], coeffs[k]]).det()
-                    if det == 0:
-                        raise ValueError(f"lines {i}, {j}, {k} are concurrent")
-        nodes = tuple(
-            _cross(coeffs[i], coeffs[j])
-            for i in range(len(lines))
-            for j in range(i + 1, len(lines))
-        )
+                raw = _cross(coeffs[i], coeffs[j])
+                if not any(raw):
+                    raise ValueError(f"lines {i} and {j} are proportional")
+                node = canonical_point(raw)
+                if node not in first_pair:
+                    first_pair[node] = (i, j)
+                elif concurrent is None:
+                    concurrent = (*first_pair[node], j)
+        if concurrent is not None:
+            raise ValueError("lines {}, {}, {} are concurrent".format(*concurrent))
+        nodes = tuple(first_pair)
         return cls(lines, nodes)
 
     def product(self) -> MultiPoly:
@@ -99,12 +101,11 @@ def _line_coeffs(line: MultiPoly) -> list[Fraction]:
 
 
 def _cross(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    raw = (
+    return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
-    return canonical_point(raw)
 
 
 def general_lines(
@@ -204,32 +205,27 @@ def build_witness(
     follow the same chart permutation as the arrangement.
 
     Genericity demands phi2 and psi nonvanishing at every node (otherwise
-    the glued surface would be singular there instead of T1).
+    the glued surface would be singular there instead of T1).  ``retries``
+    is the total number of arrangement draws, and separately of phi2 and of
+    psi draws; given ``lines`` must number d - 1.
     """
     if d < 3:
         raise ValueError("witness construction needs d >= 3")
+    if lines is not None and len(lines) != d - 1:
+        raise ValueError(
+            f"a degree-{d} witness needs {d - 1} lines, got {len(lines)}"
+        )
     _check_budget(retries)
     rng = random.Random(seed)
 
-    arrangement = None
-    perm = None
-    for attempt in range(retries):
-        if lines is not None:
-            candidate = LineArrangement.from_lines(lines)
-        else:
-            candidate = _draw_arrangement(rng, d - 1, retries)
-        perm = _chart_permutation(candidate)
-        if perm is not None:
-            arrangement = candidate.permuted(perm)
-            break
-        if lines is not None:
-            raise GenericityError(
-                "given lines admit no chart containing every node"
-            )
-    if arrangement is None:
-        raise GenericityError(
-            f"no arrangement with a common node chart (seed {seed}, budget {retries})"
-        )
+    if lines is None:
+        candidate = _draw_arrangement(rng, d - 1, retries, in_node_chart=True)
+    else:
+        candidate = LineArrangement.from_lines(lines)
+    perm = _chart_permutation(candidate)
+    if perm is None:
+        raise GenericityError("given lines admit no chart containing every node")
+    arrangement = candidate.permuted(perm)
 
     nodes = arrangement.nodes
     phi1 = arrangement.product()
@@ -273,14 +269,23 @@ def build_witness(
     return witness
 
 
-def _draw_arrangement(rng: random.Random, k: int, retries: int) -> LineArrangement:
+def _draw_arrangement(
+    rng: random.Random, k: int, retries: int, in_node_chart: bool = False
+) -> LineArrangement:
+    """The first of at most ``retries`` drawn arrangements of k lines in
+    general position and, if asked, with a chart containing every node."""
     for _ in range(retries):
         lines = [_draw_form(rng, 3, 1) for _ in range(k)]
         try:
-            return LineArrangement.from_lines(lines)
+            arrangement = LineArrangement.from_lines(lines)
         except ValueError:
             continue
-    raise GenericityError(f"could not draw {k} general lines within budget {retries}")
+        if not in_node_chart or _chart_permutation(arrangement) is not None:
+            return arrangement
+    chart = " with a common node chart" if in_node_chart else ""
+    raise GenericityError(
+        f"could not draw {k} general lines{chart} within budget {retries}"
+    )
 
 
 def _chart_permutation(arrangement: LineArrangement) -> tuple[int, ...] | None:

@@ -97,25 +97,14 @@ def tangent_cone_prediction(alpha: Fraction) -> MultiPoly:
     )
 
 
-def verify_t1_to_node(t) -> SingularityReport:
-    """Certify that the slice at t carries a node at its predicted point.
+def verify_t1_to_node(family: FamilySlice) -> SingularityReport:
+    """Certify that the slice carries a node at its predicted point.
 
-    ``t`` is the base value, or the FamilySlice already derived from it.
     Recentres the chart once at (-alpha/2, 0, 0), classifies the recentred
     chart at the origin and compares its degree-2 part with the predicted
     tangent cone up to a scalar; the report carries the original point.
-    Raises ValueError at t = 0 (the central fibre is the T1 limit, not a node)
-    and when -4t is not a rational square.
+    ``deformation_slice`` derives the slice from a base value t.
     """
-    if isinstance(t, FamilySlice):
-        family = t
-    else:
-        t = Fraction(t)
-        if t == 0:
-            raise ValueError("central fibre is the T1 limit, not a node")
-        family = deformation_slice(t)
-        if family is None:
-            raise ValueError(f"-4t = {-4 * t} is not a rational square; no rational slice")
     point = family.node_point()
     recentred = family.surface_chart.translate(point)
     report = classify_point(recentred, (0, 0, 0))

@@ -2,10 +2,11 @@
 
 A matrix keeps, from construction on, the integer rescaling it eliminates
 on: row i is ``int_rows[i] / multipliers[i]`` with integer entries and a
-positive multiplier.  Rank and determinant run Bareiss fraction-free
-elimination on those integer rows, so intermediate values stay integral and
-exact.  ``rank_mod`` reduces the same integer rows modulo a word-size prime;
-it is reported as a cross-check only, never used as a certificate.
+positive multiplier.  One Bareiss fraction-free elimination on those integer
+rows gives both the rank and, from its last pivot signed by the row swaps,
+the determinant; intermediate values stay integral and exact.  ``rank_mod``
+reduces the same integer rows modulo a word-size prime; it is reported as a
+cross-check only, never used as a certificate.
 """
 
 from __future__ import annotations
@@ -69,17 +70,14 @@ class RatMatrix:
 
     def rank(self) -> int:
         """Exact rank via fraction-free (Bareiss) elimination."""
-        m = [list(row) for row in self.int_rows]
-        return _bareiss_rank(m, self.rows, self.cols)
+        return _bareiss(self.int_rows, self.rows, self.cols)[0]
 
     def det(self) -> Fraction:
         """Exact determinant (square matrices only)."""
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        if self.rows == 0:
-            return Fraction(1)
-        m = [list(row) for row in self.int_rows]
-        return Fraction(_bareiss_det(m, self.rows), prod(self.multipliers))
+        rank, pivot = _bareiss(self.int_rows, self.rows, self.cols)
+        return Fraction(pivot if rank == self.rows else 0, prod(self.multipliers))
 
     def rank_mod(self, p: int = DEFAULT_PRIME) -> int:
         """Rank over the prime field F_p of the integer rows.
@@ -105,9 +103,17 @@ class RatMatrix:
         return rank
 
 
-def _bareiss_rank(m: list[list[int]], nrows: int, ncols: int) -> int:
+def _bareiss(int_rows, nrows: int, ncols: int) -> tuple[int, int]:
+    """Rank and last pivot, signed by the row swaps, of Bareiss elimination.
+
+    At full rank a square matrix skips no column, so its last pivot is the
+    leading minor of the row-swapped matrix: the signed pivot is the
+    determinant (1 for the empty matrix).
+    """
+    m = [list(row) for row in int_rows]
     rank = 0
     prev = 1
+    sign = 1
     for col in range(ncols):
         pivot = None
         for r in range(rank, nrows):
@@ -116,7 +122,9 @@ def _bareiss_rank(m: list[list[int]], nrows: int, ncols: int) -> int:
                 break
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
         piv = m[rank][col]
         row_p = m[rank]
         # The pivot rescaling applies to every lower row, zero head or not,
@@ -130,25 +138,4 @@ def _bareiss_rank(m: list[list[int]], nrows: int, ncols: int) -> int:
         rank += 1
         if rank == nrows:
             break
-    return rank
-
-
-def _bareiss_det(m: list[list[int]], n: int) -> int:
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        piv = m[k][k]
-        for r in range(k + 1, n):
-            head = m[r][k]
-            row_r = m[r]
-            row_k = m[k]
-            for c in range(k, n):
-                row_r[c] = (row_r[c] * piv - head * row_k[c]) // prev
-        prev = piv
-    return sign * m[n - 1][n - 1]
+    return rank, sign * prev

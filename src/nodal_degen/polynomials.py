@@ -325,18 +325,9 @@ class MultiPoly:
         if not 0 <= var < self.arity:
             raise ArityError(f"variable index {var} out of range for arity {self.arity}")
         self._check_arity(expr)
-        powers: dict[int, MultiPoly] = {0: MultiPoly.const(self.arity, 1)}
-
-        def power(k: int) -> MultiPoly:
-            if k not in powers:
-                powers[k] = power(k - 1) * expr
-            return powers[k]
-
-        res = MultiPoly.zero(self.arity)
-        for e, c in self._terms.items():
-            rest = e[:var] + (0,) + e[var + 1 :]
-            res = res + MultiPoly._trusted(self.arity, {rest: c}) * power(e[var])
-        return res
+        slots = [MultiPoly.variable(self.arity, i) for i in range(self.arity)]
+        slots[var] = expr
+        return self.compose(slots)
 
     def set_var(self, var: int, value) -> "MultiPoly":
         """Substitute the constant ``value`` for variable ``var``: one pass

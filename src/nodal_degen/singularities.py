@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import ArityError, GluingError, PointNotOnSurface
-from .groebner import default_degree_cap, groebner_basis
+from .groebner import groebner_basis
 from .linalg import RatMatrix
 from .polynomials import MultiPoly, format_point, format_rational
 
@@ -410,15 +410,11 @@ def exclude_extra_singularities(
     if any(len(p) != 3 for p in allowed):
         raise ArityError("allowed points of a surface chart have 3 coordinates")
     allowed_set = {tuple(Fraction(x) for x in p) for p in allowed}
-    gens = [f, *f.gradient()]
-    gens = [g for g in gens if not g.is_zero()]
-    if degree_cap is None:
-        degree_cap = default_degree_cap(gens)
-    result = groebner_basis(gens, degree_cap, zeros=allowed_set)
+    result = groebner_basis([f, *f.gradient()], degree_cap, zeros=allowed_set)
     if result.status != "ok":
         return ExclusionResult(
             INCONCLUSIVE,
-            f"degree cap {degree_cap} exceeded",
+            f"degree cap {result.degree_cap} exceeded",
             residual_basis=result.basis,
         )
     if result.is_unit_ideal():

@@ -8,8 +8,9 @@ generic composition, values term by term, gradients, Hessians and the
 limit Hessian through derivative polynomials and through a full Taylor
 shift, T1
 certification from the gradient polynomials of both charts, condition
-matrix rows evaluated in Fraction arithmetic, and the dimension of the
-restricted ci4 system by the rank of a multiplication map."""
+matrix rows evaluated in Fraction arithmetic, the dimension of the
+restricted ci4 system by the rank of a multiplication map, and the general
+position of a line arrangement by pairwise ratios and triple determinants."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from nodal_degen.polynomials import (
     monomials_of_degree,
     parse_rational,
 )
-from nodal_degen.severi import choose
+from nodal_degen.severi import canonical_point, choose
 from nodal_degen.singularities import REFUTED, T1, S0Spec, SingularityReport
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -486,3 +487,32 @@ def restricted_dim_oracle(
         rows.append(row)
     rank = RatMatrix.from_rows(rows).rank()
     return choose(d + 3, 3) - rank - 1
+
+
+def arrangement_nodes_by_determinants(lines: Sequence[MultiPoly]) -> tuple:
+    """Nodes of a line arrangement, or ValueError if it is not general.
+
+    Rejects the first proportional pair (by ``scalar_ratio``), then the
+    first concurrent triple (a zero 3x3 coefficient determinant); the nodes
+    are the canonical cross products of the pairs in order.
+    """
+    for i, j in combinations(range(len(lines)), 2):
+        if lines[i].scalar_ratio(lines[j]) is not None:
+            raise ValueError(f"lines {i} and {j} are proportional")
+    coeffs = [
+        [line.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        for line in lines
+    ]
+    for i, j, k in combinations(range(len(lines)), 3):
+        if fraction_det([coeffs[i], coeffs[j], coeffs[k]]) == 0:
+            raise ValueError(f"lines {i}, {j}, {k} are concurrent")
+    return tuple(
+        canonical_point(
+            (
+                a[1] * b[2] - a[2] * b[1],
+                a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0],
+            )
+        )
+        for a, b in combinations(coeffs, 2)
+    )

@@ -5,7 +5,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nodal_degen import constructions
 from nodal_degen.constructions import (
     LineArrangement,
     build_witness,
@@ -17,7 +20,7 @@ from nodal_degen.constructions import (
 )
 from nodal_degen.errors import DataFormatError, GenericityError, GluingError
 from nodal_degen.polynomials import MultiPoly
-from oracles import poly
+from oracles import arrangement_nodes_by_determinants, poly
 from nodal_degen.singularities import T1, certify_t1
 
 P2 = ("x", "y", "z")
@@ -66,6 +69,27 @@ def test_concurrent_lines_rejected():
         LineArrangement.from_lines([poly("x", P2), poly("y", P2), poly("x + y", P2)])
 
 
+_SMALL_LINE = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SMALL_LINE, min_size=2, max_size=6))
+def test_from_lines_matches_determinant_oracle(coeffs):
+    # coefficient height 2 makes proportional pairs and concurrent triples
+    # common; the node-set decision agrees with pairwise ratios and triple
+    # determinants on accept/reject, the rejection keyword and the nodes
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    lines = [MultiPoly(3, {e: Fraction(c) for e, c in zip(units, row)}) for row in coeffs]
+    try:
+        expected = arrangement_nodes_by_determinants(lines)
+    except ValueError as exc:
+        keyword = "proportional" if "proportional" in str(exc) else "concurrent"
+        with pytest.raises(ValueError, match=keyword):
+            LineArrangement.from_lines(lines)
+    else:
+        assert LineArrangement.from_lines(lines).nodes == expected
+
+
 def test_general_lines_determinism():
     assert general_lines(5, 11).lines == general_lines(5, 11).lines
 
@@ -77,6 +101,36 @@ def test_general_lines_rejects_empty_budget(retries):
         general_lines(3, 0, retries=retries)
     with pytest.raises(ValueError, match="retries must be at least 1"):
         build_witness(3, 0, retries=retries)
+
+
+def test_witness_draws_at_most_retries_arrangements(monkeypatch):
+    # with no chart accepted and coefficient height 1 (so that non-general
+    # draws are common), the budget still bounds the arrangement draws
+    draws = []
+    draw_form = constructions._draw_form
+
+    def counting(rng, arity, degree):
+        if (arity, degree) == (3, 1):
+            draws.append(degree)
+        return draw_form(rng, arity, degree)
+
+    monkeypatch.setattr(constructions, "COEFF_BOUND", 1)
+    monkeypatch.setattr(constructions, "_draw_form", counting)
+    monkeypatch.setattr(constructions, "_chart_permutation", lambda arrangement: None)
+    for seed in range(3):
+        draws.clear()
+        with pytest.raises(GenericityError, match="budget 8"):
+            build_witness(4, seed, retries=8)
+        assert len(draws) == 8 * 3  # 8 arrangements of d - 1 = 3 lines
+
+
+def test_witness_rejects_wrong_line_count_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew a form")
+
+    monkeypatch.setattr(constructions, "_draw_form", no_draws)
+    with pytest.raises(ValueError, match="needs 3 lines, got 2"):
+        build_witness(4, 0, lines=TRIANGLE[:2])
 
 
 # -------------------------------------------------------------- construction

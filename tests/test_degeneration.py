@@ -68,7 +68,7 @@ def test_rational_sqrt():
 
 
 def test_node_at_minus_one():
-    r = verify_t1_to_node(-1)
+    r = verify_t1_to_node(deformation_slice(-1))
     assert r.kind == NODE_A1
     assert r.point == (Fraction(-1), Fraction(0), Fraction(0))
     assert r.witness["hessian_det"] == 8
@@ -76,14 +76,14 @@ def test_node_at_minus_one():
 
 
 def test_node_at_minus_quarter():
-    r = verify_t1_to_node(Fraction(-1, 4))
+    r = verify_t1_to_node(deformation_slice(Fraction(-1, 4)))
     assert r.kind == NODE_A1
     assert r.point == (Fraction(-1, 2), Fraction(0), Fraction(0))
 
 
 def test_node_rejects_central_fibre():
     with pytest.raises(ValueError, match="central fibre"):
-        verify_t1_to_node(0)
+        verify_t1_to_node(deformation_slice(0))
 
 
 def test_node_family_converges_to_origin():
@@ -93,7 +93,7 @@ def test_node_family_converges_to_origin():
     previous = None
     for t in samples:
         assert abs(t) <= 10**4
-        r = verify_t1_to_node(t)
+        r = verify_t1_to_node(deformation_slice(t))
         assert r.kind == NODE_A1
         y = abs(r.point[0])
         assert y == abs(r.witness["alpha"]) / 2
