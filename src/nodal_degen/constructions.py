@@ -93,7 +93,9 @@ class LineArrangement:
         return result
 
     def permuted(self, perm: Sequence[int]) -> "LineArrangement":
-        return LineArrangement.from_lines([l.permute_vars(perm) for l in self.lines])
+        """Coordinate j read from slot perm[j]; general position and node order carry over."""
+        nodes = tuple(canonical_point([p[i] for i in perm]) for p in self.nodes)
+        return LineArrangement(tuple(l.permute_vars(perm) for l in self.lines), nodes)
 
 
 def _line_coeffs(line: MultiPoly) -> list[Fraction]:
@@ -205,9 +207,12 @@ def build_witness(
     follow the same chart permutation as the arrangement.
 
     Genericity demands phi2 and psi nonvanishing at every node (otherwise
-    the glued surface would be singular there instead of T1).  ``retries``
-    is the total number of arrangement draws, and separately of phi2 and of
-    psi draws; given ``lines`` must number d - 1.
+    the glued surface would be singular there instead of T1).  The default
+    psi is x**(d-2) + c*tau**(d-2) with c = c_max / 2 of ``_sb_c_max`` (c = 1
+    for d = 3), so S_B is smooth by construction.  ``retries`` is the total number of
+    arrangement draws, and separately of phi2 draws; given ``lines`` must
+    number d - 1.  The lines and overrides are checked as they come in; the
+    witness assembled from them satisfies every structural invariant.
     """
     if d < 3:
         raise ValueError("witness construction needs d >= 3")
@@ -236,7 +241,15 @@ def build_witness(
         if any(phi2.eval_at(p) == 0 for p in nodes):
             raise GenericityError("genericity failure: phi2 vanishes at a node of C")
     else:
-        phi2 = _draw_nonvanishing(rng, 3, d, nodes, retries, seed, "phi2")
+        for _ in range(retries):
+            phi2 = _draw_form(rng, 3, d)
+            if all(phi2.eval_at(p) != 0 for p in nodes):
+                break
+        else:
+            raise GenericityError(
+                f"genericity failure: phi2 vanishes at a node of C "
+                f"(seed {seed}, budget {retries})"
+            )
 
     if psi is not None:
         _require_form(psi, 4, d - 2, "psi")
@@ -244,15 +257,16 @@ def build_witness(
         if any(psi.eval_at(tuple(p) + (0,)) == 0 for p in nodes):
             raise GenericityError("genericity failure: psi vanishes at a node of C")
     else:
-        # tau-free draws keep tau linear in the B chart, which keeps the
-        # smoothness exclusion ideal at desk scale
-        psi = _draw_nonvanishing(rng, 3, d - 2, nodes, retries, seed, "psi").extend(1)
+        # x != 0 at every node keeps psi nonzero there; c = c_max / 2 makes
+        # S_B smooth in P3 by _sb_c_max
+        c_max = _sb_c_max(d, arrangement)
+        psi = _sb_psi(d, Fraction(1) if c_max is None else c_max / 2)
 
     projective, chart_a = _derived_equations(phi1, phi2)
     tau = MultiPoly.variable(4, 3)
     sb = phi1.extend(1) + tau * psi
 
-    witness = SurfaceWitness(
+    return SurfaceWitness(
         d=d,
         seed=seed,
         arrangement=arrangement,
@@ -263,10 +277,6 @@ def build_witness(
         blowup_chart_a=chart_a,
         sb_equation=sb,
     )
-    problem = _structural_defect(witness)
-    if problem is not None:
-        raise GenericityError(f"construction invariant failed: {problem}")
-    return witness
 
 
 def _draw_arrangement(
@@ -304,15 +314,49 @@ def _require_form(form: MultiPoly, arity: int, degree: int, name: str) -> None:
         raise ValueError(f"{name} must be nonzero homogeneous of degree {degree}")
 
 
-def _draw_nonvanishing(rng, arity, degree, points, retries, seed, name) -> MultiPoly:
-    for _ in range(retries):
-        form = _draw_form(rng, arity, degree)
-        if all(form.eval_at(p) != 0 for p in points):
-            return form
-    raise GenericityError(
-        f"genericity failure: {name} vanishes at a node of C "
-        f"(seed {seed}, budget {retries})"
-    )
+def _sb_psi(d: int, c: Fraction) -> MultiPoly:
+    """psi = x**(d-2) + c*tau**(d-2), so S_B = phi1 + tau*x**(d-2) + c*tau**(d-1)."""
+    return MultiPoly(4, {(d - 2, 0, 0, 0): Fraction(1), (0, 0, 0, d - 2): c})
+
+
+def _sb_c_max(d: int, arrangement: LineArrangement) -> Fraction | None:
+    """The bound c_max such that S_B = phi1 + tau*x**(d-2) + c*tau**(d-1) is
+    smooth in P3 for every 0 < c < c_max; None if it is for every c > 0.
+
+    The arrangement is real, in general position, with x != 0 at every node.
+    On tau = 0 a singular point needs x**(d-2) = 0 and grad phi1 = 0, a node
+    with x = 0.  On tau = 1, Euler's identity puts a singular point at
+    x*(1, eta) with eta a critical point of f = phi1(1, ., .) of value
+    v != 0, x = -(d-2)/((d-1)*v) and c = -x**(d-2)/(d-1).  Those critical
+    points of f are exactly one nondegenerate point in each bounded chamber
+    of the arrangement (A. Varchenko, Compositio Math. 97, 1995; their
+    number: P. Orlik and H. Terao, Invent. Math. 120, 1995).  A bounded
+    chamber is a polygon with nodes as vertices, on which each |L_i| is
+    convex, so |v| <= V = prod_i max_node |L_i(node)/x(node)| and a singular
+    c has |c| >= c_max = (1/(d-1))*((d-2)/((d-1)*V))**(d-2).  For d = 3 there
+    is no bounded chamber and V = 0.
+    """
+    v = Fraction(1)
+    for line in arrangement.lines:
+        a, b, c = _line_coeffs(line)
+        v *= max(abs((a * x + b * y + c * z) / x) for x, y, z in arrangement.nodes)
+    if v == 0:
+        return None
+    return Fraction(d - 2, (d - 1) * v) ** (d - 2) / (d - 1)
+
+
+def _sb_smooth_by_bound(w: SurfaceWitness) -> bool:
+    """Whether S_B is phi1 + tau*x**(d-2) + c*tau**(d-1) with 0 < c < c_max.
+
+    Read after the structure and nodes stages, which make the arrangement
+    nodes all of phi1's nodes, each with x != 0."""
+    d = w.d
+    c = w.sb_equation.coefficient((0, 0, 0, d - 1))
+    shape = w.phi1.extend(1) + MultiPoly.variable(4, 3) * _sb_psi(d, c)
+    if c <= 0 or w.sb_equation != shape:
+        return False
+    c_max = _sb_c_max(d, w.arrangement)
+    return c_max is None or c < c_max
 
 
 def _structural_defect(w: SurfaceWitness) -> str | None:
@@ -402,7 +446,9 @@ def certify_witness(
 
     Stages, in order: structural invariants, chart gluing, curve-node
     certification of every claimed node, T1 certification on the glued
-    fibre, chart smoothness via the capped Groebner exclusion check, and
+    fibre, smoothness (S_A on its blow-up chart by the capped Groebner
+    exclusion check; S_B in P3 by the bound of ``_sb_c_max`` when it has
+    that shape, else by the exclusion check on its tau = 1 chart), and
     regularity (independent conditions) of the node set against the plane
     system of degree d-1.  The first failing stage names the verdict.  Each
     stage is the local function of its name; the chain stops at the first
@@ -442,11 +488,21 @@ def certify_witness(
         return CERTIFIED, f"all {len(spec.claimed_t1)} T1 points certified"
 
     def smoothness() -> tuple[str, str]:
-        for name, chart_eq in (("S_A chart", spec.g_a), ("S_B chart", spec.g_b)):
+        bound = _sb_smooth_by_bound(witness)
+        charts = [("S_A chart", spec.g_a)]
+        if not bound:
+            # off tau = 1, S_B is singular only at a node where psi = 0,
+            # which the t1 stage has ruled out
+            charts.append(("S_B chart tau = 1", witness.sb_equation.dehomogenize(3)))
+        details = []
+        for name, chart_eq in charts:
             exclusion = exclude_extra_singularities(chart_eq, [], degree_cap=degree_cap)
             if exclusion.status != CERTIFIED:
                 return exclusion.status, f"{name}: {exclusion.detail}"
-        return CERTIFIED, "both chart surfaces are smooth"
+            details.append(f"{name}: {exclusion.detail}")
+        if bound:
+            details.append("S_B in P3: 0 < c < c_max (critical-value bound)")
+        return CERTIFIED, "; ".join(details)
 
     def regularity() -> tuple[str, str]:
         nonlocal rank

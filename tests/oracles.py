@@ -9,8 +9,10 @@ limit Hessian through derivative polynomials and through a full Taylor
 shift, T1
 certification from the gradient polynomials of both charts, condition
 matrix rows evaluated in Fraction arithmetic, the dimension of the
-restricted ci4 system by the rank of a multiplication map, and the general
-position of a line arrangement by pairwise ratios and triple determinants."""
+restricted ci4 system by the rank of a multiplication map, the general
+position of a line arrangement by pairwise ratios and triple determinants,
+and the coprimality of two polynomials in two variables by specialisation
+and univariate Euclid."""
 
 from __future__ import annotations
 
@@ -516,3 +518,51 @@ def arrangement_nodes_by_determinants(lines: Sequence[MultiPoly]) -> tuple:
         )
         for a, b in combinations(coeffs, 2)
     )
+
+
+def _specialise(f: MultiPoly, keep: int, value: int) -> list[Fraction]:
+    """Coefficients, lowest degree first, of a 2-variable f in slot ``keep``
+    with the other slot set to ``value``."""
+    coeffs = [Fraction(0)] * (f.degree() + 1)
+    for e, c in f.terms():
+        coeffs[e[keep]] += c * Fraction(value) ** e[1 - keep]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _univariate_gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
+    """Degree of gcd(a, b) by Euclid over Fraction (coefficient lists)."""
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            q = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for i, y in enumerate(b):
+                r[shift + i] -= q * y
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, r
+    return len(a) - 1
+
+
+def coprime_by_specialisation(f: MultiPoly, g: MultiPoly, tries: int = 20) -> bool:
+    """Whether nonzero f, g in two variables are shown to share no factor.
+
+    For each slot k, look for an integer t for the other slot at which f
+    keeps its degree in slot k and the specialised f, g have a constant gcd.
+    A common factor of positive degree in slot k would divide both
+    specialisations with that degree, since its leading coefficient divides
+    f's; so a success in both slots rules out every common factor.  False
+    means no such t was found within ``tries`` values, not a proof of a
+    common factor.
+    """
+    for keep in (0, 1):
+        degree = max(e[keep] for e, _ in f.terms())
+        for t in range(tries):
+            a = _specialise(f, keep, t)
+            if len(a) - 1 == degree and _univariate_gcd_degree(a, _specialise(g, keep, t)) == 0:
+                break
+        else:
+            return False
+    return True

@@ -1,11 +1,14 @@
 """Witness construction and the certificate chain, fixtures and failures."""
 
+import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nodal_degen import constructions
@@ -20,8 +23,8 @@ from nodal_degen.constructions import (
 )
 from nodal_degen.errors import DataFormatError, GenericityError, GluingError
 from nodal_degen.polynomials import MultiPoly
-from oracles import arrangement_nodes_by_determinants, poly
-from nodal_degen.singularities import T1, certify_t1
+from oracles import arrangement_nodes_by_determinants, coprime_by_specialisation, poly
+from nodal_degen.singularities import CERTIFIED, T1, certify_t1, exclude_extra_singularities
 
 P2 = ("x", "y", "z")
 
@@ -88,6 +91,27 @@ def test_from_lines_matches_determinant_oracle(coeffs):
             LineArrangement.from_lines(lines)
     else:
         assert LineArrangement.from_lines(lines).nodes == expected
+
+
+_LINE_HEIGHT_3 = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_LINE_HEIGHT_3, min_size=2, max_size=6))
+@example([(1, 0, 0), (0, 1, 0), (1, 1, -1)])  # the triangle: nodes on x = 0 and on y = 0
+def test_permuted_matches_from_lines(coeffs):
+    # height 3 keeps most drawn arrangements general while putting a zero
+    # coordinate into some node of most of them, so some permutation moves
+    # a zero into the first slot, where canonical_point rescales by another
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    lines = [MultiPoly(3, {e: Fraction(c) for e, c in zip(units, row)}) for row in coeffs]
+    try:
+        arr = LineArrangement.from_lines(lines)
+    except ValueError:
+        assume(False)
+    for perm in permutations(range(3)):
+        expected = LineArrangement.from_lines([l.permute_vars(perm) for l in arr.lines])
+        assert arr.permuted(perm) == expected
 
 
 def test_general_lines_determinism():
@@ -180,6 +204,25 @@ def test_singular_witness_chart_refuted_at_smoothness():
     assert "(12, 1, 1)" in detail
 
 
+@pytest.mark.parametrize("d", range(3, 8))
+def test_built_witnesses_satisfy_the_structural_invariants(d):
+    # build_witness does not re-check its own output; the structure stage does
+    for seed in range(5):
+        assert constructions._structural_defect(build_witness(d, seed)) is None
+
+
+def test_witnesses_built_from_overrides_satisfy_the_structural_invariants():
+    P4 = ("x", "y", "z", "tau")
+    triangle = build_witness(
+        4, 0, lines=TRIANGLE, phi2=poly("x**4 + y**4 + z**4", P2),
+        psi=poly("x**2 + y**2 + z**2 + tau**2", P4),
+    )
+    assert constructions._structural_defect(triangle) is None
+    assert constructions._structural_defect(
+        build_witness(3, 0, lines=[poly("x", P2), poly("y", P2)], phi2=poly("z**3", P2))
+    ) is None
+
+
 def test_blowup_chart_identity():
     for d, seed in ((3, 1), (4, 5), (5, 2)):
         w = build_witness(d, seed)
@@ -222,12 +265,12 @@ def test_witness_determinism():
 # SHA-256 of each certified witness document: the seeded draws, the derived
 # equations and every stage text must reproduce byte for byte
 _PINNED_DOCUMENTS = {
-    (3, 1): "ba6f09b16820d44f0cf07a3cbe958e5fb951b77e1b2e99e550a27a4241166d59",
-    (4, 5): "3bf87788a69b1e03fdf8f0c2ee0eb78c07e42087f23daa0e3a33805ccaa2b13b",
-    (5, 2): "f2ed540441a936d634e4bc3491427a7293972f2f68529be50d250022e33be4a5",
-    (6, 0): "0f7cd602ec8230c8d05361ceffd6582d651b178ea9aa7186b4f42d5e6fb5fe3d",
+    (3, 1): "14e58554107779a5f232bb350d767aaf6093a374abeb54029531c2ac1b711e8b",
+    (4, 5): "52283ad43fa1cff386b409831615830c7513281aeb264368bf79ec40f771a3d8",
+    (5, 2): "12c9eb28171b1f1ad9c7fa0bd23b6bbec12a422f2fd8b0e731c6b8dcae8be13d",
+    (6, 0): "b0b13751fb91b2acf59dff14a2bd86386d183ff803cac887921a9324d865baf6",
     # refuted at smoothness: the S_A chart is singular
-    (5, 615096): "2d588721c52c33e96ad09be4caf2fe04f574442e90f3979e1310648ed50253a8",
+    (5, 615096): "a94f8ee1ffe9bff4a4a00a2f549071933600ca51dc6673529b1557dde7c49447",
 }
 
 
@@ -236,6 +279,131 @@ def test_witness_documents_are_pinned(d, seed):
     w = build_witness(d, seed)
     doc = json.dumps(witness_to_json(w, certify_witness(w)), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == _PINNED_DOCUMENTS[d, seed]
+
+
+# ------------------------------------------------------------- S_B smoothness
+
+# y, z, x - y - z: V = 1, so c_max = 4/27; phi1(1, ., .) has one critical
+# point off the lines, (1/3, 1/3) with value 1/27, where x = -18 and c = -108
+# make S_B singular at (-18, -6, -6, 1)
+BOUNDED_TRIANGLE = [poly("y", P2), poly("z", P2), poly("x - y - z", P2)]
+
+
+def _with_psi(lines, c) -> constructions.SurfaceWitness:
+    return build_witness(4, 0, lines=lines, psi=constructions._sb_psi(4, Fraction(c)))
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_default_sb_certified_by_the_bound(d):
+    for seed in range(5):
+        w = build_witness(d, seed)
+        assert constructions._sb_smooth_by_bound(w)
+        # the premise behind the bound: f_y and f_z share no component, so
+        # Bezout leaves room only for the nodes and one point per chamber
+        f = w.phi1.dehomogenize(0)
+        assert coprime_by_specialisation(f.derive(0), f.derive(1))
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_structured_sb_certified_by_both_routes(d):
+    for seed in range(6):
+        w = build_witness(d, seed)
+        assert constructions._sb_smooth_by_bound(w)
+        chart = w.sb_equation.dehomogenize(3)
+        assert exclude_extra_singularities(chart, []).status == CERTIFIED
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([4, 5]), st.integers(0, 10**6), st.integers(1, 15))
+def test_sb_routes_agree_below_the_bound(d, seed, sixteenths):
+    # any 0 < c < c_max, not only c_max / 2; at d = 5 some c > 0 are
+    # singular, so the bound is what keeps these smooth
+    w = build_witness(d, seed)
+    c = constructions._sb_c_max(d, w.arrangement) * sixteenths / 16
+    psi = constructions._sb_psi(d, c)
+    sb = w.phi1.extend(1) + MultiPoly.variable(4, 3) * psi
+    w = dataclasses.replace(w, psi=psi, sb_equation=sb)
+    assert constructions._sb_smooth_by_bound(w)
+    assert exclude_extra_singularities(w.sb_equation.dehomogenize(3), []).status == CERTIFIED
+
+
+def test_sb_bound_on_the_bounded_triangle():
+    w = build_witness(4, 0, lines=BOUNDED_TRIANGLE)
+    assert constructions._sb_c_max(4, w.arrangement) == Fraction(4, 27)
+    assert w.psi == constructions._sb_psi(4, Fraction(2, 27))
+    bundle = certify_witness(w)
+    assert bundle.verdict == "Certified"
+    assert bundle.stages[4].detail.endswith(
+        "S_B in P3: 0 < c < c_max (critical-value bound)"
+    )
+
+
+def test_sb_critical_value_refuted_on_tau_chart():
+    bundle = certify_witness(_with_psi(BOUNDED_TRIANGLE, -108))
+    assert bundle.verdict == "Refuted"
+    assert bundle.failed_stage == "smoothness"
+    assert bundle.stages[-1].detail == (
+        "S_B chart tau = 1: unexpected singular points [(-18, -6, -6)]"
+    )
+
+
+@pytest.mark.parametrize("c", [-107, Fraction(-1, 1000), 1])
+def test_sb_off_the_bound_certified_on_tau_chart(c):
+    w = _with_psi(BOUNDED_TRIANGLE, c)
+    assert not constructions._sb_smooth_by_bound(w)
+    bundle = certify_witness(w)
+    assert bundle.verdict == "Certified"
+    assert "S_B chart tau = 1: empty singular locus" in bundle.stages[4].detail
+
+
+@pytest.mark.parametrize("psi", ["x**2 + y*z + 1/27*tau**2", "2*x**2 + 1/27*tau**2"])
+def test_sb_bound_needs_the_exact_shape(psi):
+    w = build_witness(4, 0, lines=BOUNDED_TRIANGLE, psi=poly(psi, ("x", "y", "z", "tau")))
+    assert not constructions._sb_smooth_by_bound(w)
+
+
+def test_sb_without_tau_power_not_certified():
+    # c = 0: S_B = phi1 + tau*x**2 is singular at [0:0:0:1]
+    bundle = certify_witness(_with_psi(BOUNDED_TRIANGLE, 0))
+    assert bundle.verdict != "Certified"
+    assert bundle.failed_stage == "smoothness"
+
+
+def _tau_free_default(d: int, seed: int) -> constructions.SurfaceWitness:
+    """build_witness(d, seed) with the tau-free psi that earlier versions
+    drew after phi2 from the same random stream: the first form of degree
+    d - 2, like phi2 of degree d, that vanishes at no node."""
+    w = build_witness(d, seed)
+    rng = random.Random(seed)
+    constructions._draw_arrangement(rng, d - 1, constructions.DEFAULT_RETRIES, in_node_chart=True)
+
+    def draw(degree):
+        while True:
+            form = constructions._draw_form(rng, 3, degree)
+            if all(form.eval_at(p) != 0 for p in w.arrangement.nodes):
+                return form
+
+    assert draw(d) == w.phi2
+    psi = draw(d - 2).extend(1)
+    sb = w.phi1.extend(1) + MultiPoly.variable(4, 3) * psi
+    return dataclasses.replace(w, psi=psi, sb_equation=sb)
+
+
+def test_tau_free_psi_caught_on_tau_chart():
+    # [0:0:0:1] has multiplicity d - 2 on these S_B, which no x = 1 chart sees
+    four = certify_witness(_tau_free_default(4, 0))
+    assert four.verdict == "Refuted"
+    assert four.stages[-1].detail == "S_B chart tau = 1: unexpected singular points [(0, 0, 0)]"
+    five = certify_witness(_tau_free_default(5, 0))
+    assert five.verdict != "Certified"
+    assert five.failed_stage == "smoothness"
+
+
+def test_coprimality_oracle_sees_a_common_factor():
+    yz = ("y", "z")
+    f = poly("y**3 + 3*y**2*z + 3*y*z**2 + z**3", yz)  # (y + z)**3
+    assert not coprime_by_specialisation(f.derive(0), f.derive(1))
+    assert coprime_by_specialisation(poly("y*z - 1", yz), poly("y + z", yz))
 
 
 # -------------------------------------------------------------- central fibre

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodal_degen.constructions import general_lines
 from nodal_degen.errors import ArityError, DataFormatError, PointNotOnSurface
 from nodal_degen.linalg import RatMatrix
 from nodal_degen.polynomials import MultiPoly, monomials_of_degree
 from nodal_degen.severi import (
     SystemSpec,
     canonical_point,
+    choose,
     condition_matrix,
     heuristic_floor,
     independence_rank,
@@ -109,6 +111,16 @@ def test_triangle_nodes_vs_cubics():
     cm = condition_matrix(SystemSpec("p2", 3), [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
     r = independence_rank(cm)
     assert (r.rank, r.regular, r.tangent_dim) == (3, True, 6)
+
+
+@pytest.mark.parametrize("d", range(8, 13))
+def test_large_arrangement_nodes_are_regular(d):
+    # k lines with no three concurrent impose independent conditions in every
+    # degree >= k - 2 (induction on k with the residual sequence), so the
+    # nodes of d - 1 general lines have full rank against degree d - 1
+    nodes = general_lines(d - 1, d).nodes
+    r = independence_rank(condition_matrix(SystemSpec("p2", d - 1), nodes))
+    assert (r.rank, r.regular) == (choose(d - 1, 2), True)
 
 
 def test_regular_means_expected_codimension():
