@@ -22,9 +22,6 @@ from .singularities import NODE_A1, REFUTED, SingularityReport, classify_point
 VERIFIED = "Verified"
 REFUTED_IDENTITY = "Refuted"
 
-#: Variable names of the eliminated surface chart.
-SLICE_VARS = ("y", "z", "u")
-
 
 def rational_sqrt(value: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""

@@ -6,7 +6,10 @@ content stripping to keep coefficients small; the reduced basis is returned
 monic over the rationals.  Pair bookkeeping uses the Gebauer-Moeller
 elimination criteria with the normal (minimal lcm) selection strategy, and
 Gebauer-Moeller basis pruning: an element whose leading monomial is divisible
-by that of a later element gets no new pairs (it stays a reducer).
+by that of a later element gets no new pairs (it stays a reducer).  Every
+element, input or S-polynomial, is fully reduced by the current basis before
+it joins, so no leading monomial divides a later one: the elements pruning
+keeps are exactly the minimal basis, and their interreduction is the result.
 There is no prime-field variant: every basis is computed exactly over Q.
 
 Each monomial is one packed int (``_Packing``): the total degree in the top
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Sequence
 
@@ -103,12 +106,9 @@ def _zcontent(values) -> int:
 
 
 def _from_multipoly(p: MultiPoly, pk: _Packing) -> _IntPoly:
-    if p.is_zero():
-        return {}
-    mult = 1
-    for _, c in p.terms():
-        mult = mult * c.denominator // gcd(mult, c.denominator)
-    f = {pk.pack(e): _zint(int(c * mult)) for e, c in p.terms()}
+    terms = p.terms()
+    mult = lcm(*(c.denominator for _, c in terms))
+    f = {pk.pack(e): _zint(c.numerator * (mult // c.denominator)) for e, c in terms}
     return _normalize(f)
 
 
@@ -274,8 +274,13 @@ def _at_most_standard(lms: Sequence[Monomial], bound: int) -> bool:
 def _run_buchberger(int_gens: list[_IntPoly], pk: _Packing, degree_cap: int, n_zeros: int):
     """Core loop; returns (basis_dicts, status).
 
-    ``n_zeros`` distinct common zeros of the generators are known; the loop
-    stops once the leading monomials leave at most that many standard ones.
+    Every element joins G by one path: the inputs, smallest leading monomial
+    first, then the reduced S-polynomials, each fully reduced by the current
+    G.  So no leading monomial divides a later one, and ``live`` (the
+    elements whose leading monomial no later one divides) is exactly the
+    minimal basis, which is interreduced into the result.  ``n_zeros``
+    distinct common zeros of the generators are known; the loop stops once
+    the leading monomials leave at most that many standard ones.
     """
 
     def basis_view(G):
@@ -283,21 +288,13 @@ def _run_buchberger(int_gens: list[_IntPoly], pk: _Packing, degree_cap: int, n_z
         rows.sort(key=itemgetter(0))
         return rows
 
-    # Light mutual reduction of the inputs before the main loop.
-    gens = []
-    for f in sorted(int_gens, key=max):
-        if gens:
-            f = _reduce(f, basis_view(gens))
-        if f:
-            gens.append(f)
-
     # Packed monomials of degree at most the cap are exactly those below this.
     above_cap = (degree_cap + 1) << (pk.arity * pk.width)
     G: list[_IntPoly] = []
     lms: list[int] = []
     live: list[int] = []
     pairs: dict[tuple[int, int], int] = {}
-    queue = iter(gens)
+    queue = iter(sorted(int_gens, key=max))
     while True:
         f = next(queue, None)
         if f is None:
@@ -306,10 +303,11 @@ def _run_buchberger(int_gens: list[_IntPoly], pk: _Packing, degree_cap: int, n_z
                 break
             lij, (i, j) = min(eligible)
             del pairs[(i, j)]
-            s = _spoly(G[i], G[j], lij)
-            if not s:
+            f = _spoly(G[i], G[j], lij)
+            if not f:
                 continue
-            f = _reduce(s, basis_view(G))
+        if G:
+            f = _reduce(f, basis_view(G))
             if not f:
                 continue
         pairs = _gm_update(G, lms, live, pairs, f, pk)
@@ -318,18 +316,11 @@ def _run_buchberger(int_gens: list[_IntPoly], pk: _Packing, degree_cap: int, n_z
             break
 
     status = "ok" if not pairs else "inconclusive"
-
-    # Minimalize, then fully interreduce.
-    minimal: list[_IntPoly] = []
-    for f in sorted(G, key=max):
-        if not any(pk.divides(max(g), max(f)) for g in minimal):
-            minimal.append(f)
-    reduced: list[_IntPoly] = []
-    for idx, f in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = _reduce(f, basis_view(others)) if others else f
-        if r:
-            reduced.append(r)
+    minimal = [G[i] for i in live]
+    reduced = [
+        _reduce(f, basis_view(minimal[:k] + minimal[k + 1 :])) if len(minimal) > 1 else f
+        for k, f in enumerate(minimal)
+    ]
     reduced.sort(key=max, reverse=True)
     return reduced, status
 

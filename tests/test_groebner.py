@@ -65,7 +65,8 @@ def test_degree_cap_inconclusive():
     gens = [poly("x*y**2 - x", XYZ), poly("x**2*y - y", XYZ)]
     res = groebner_basis(gens, degree_cap=3)
     assert res.status == "inconclusive"
-    assert res.basis  # residual view still reported
+    # the residual view: the inputs, neither reducible by the other
+    assert res.basis == (poly("x**2*y - y", XYZ), poly("x*y**2 - x", XYZ))
     assert groebner_basis(gens, degree_cap=6).status == "ok"
 
 
@@ -189,15 +190,28 @@ def _small_ideals(draw):
 @settings(max_examples=150, deadline=None)
 @given(_small_ideals())
 def test_basis_matches_plain_buchberger(gens):
+    oracle = buchberger(gens)
     res = groebner_basis(gens, degree_cap=24)
     assert res.status == "ok"
-    assert res.basis == buchberger(gens)
+    assert res.basis == oracle
     for b in res.basis:  # built by the trusted constructor: canonical terms
         assert b == MultiPoly(b.arity, dict(b.terms()))
         assert all(type(c) is Fraction and all(type(k) is int for k in e) for e, c in b.terms())
     # every small grid point is offered; the run counts the common zeros
     grid = list(product((-1, 0, 1), repeat=gens[0].arity))
     assert groebner_basis(gens, degree_cap=24, zeros=grid) == res
+    # At the tightest cap a run may stop with pairs left; either way the
+    # basis is monic, lies in the ideal and is minimal.
+    capped = groebner_basis(gens, degree_cap=max(int(g.degree()) for g in gens))
+    lms = [b.leading()[0] for b in capped.basis]
+    for b, lm in zip(capped.basis, lms):
+        assert b.leading()[1] == 1
+        assert normal_form(b, list(oracle)).is_zero()
+        assert not any(
+            other != lm and all(x <= y for x, y in zip(lm, other)) for other in lms
+        )
+    if capped.status == "ok":
+        assert capped.basis == oracle
 
 
 @st.composite
@@ -239,7 +253,9 @@ def test_zeros_of_wrong_length_rejected():
 def test_verified_zeros_finish_a_capped_run():
     # V(I) = {(0, 0), (0, 1), (0, -1)}; the pair left at cap 3 has lcm degree 5
     gens = [poly("x**2*y - x", XY), poly("y**3 - x*y - y", XY), poly("y - y**3", XY)]
-    assert groebner_basis(gens, degree_cap=3).status == "inconclusive"
+    capped = groebner_basis(gens, degree_cap=3)
+    assert capped.status == "inconclusive"
+    assert capped.basis == (poly("y**3 - y", XY), poly("x", XY))
     res = groebner_basis(gens, degree_cap=3, zeros=[(0, 0), (0, 1), (0, -1)])
     assert res.status == "ok"
     assert res.basis == groebner_basis(gens).basis == buchberger(gens)

@@ -1,0 +1,38 @@
+"""Every top-level function, class and module constant of the package is
+named somewhere other than its own definition, in the package, the tests or
+the benchmark; a name nothing refers to is dead code to delete."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "nodal_degen"
+
+
+def _definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, node
+
+
+def test_every_top_level_name_is_referenced():
+    sources = {
+        path: path.read_text()
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    unreferenced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = sources[path].splitlines()
+        for name, node in _definitions(ast.parse(sources[path])):
+            outside = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(outside if p == path else s) for p, s in sources.items()):
+                unreferenced.append(f"{path.name}:{node.lineno} {name}")
+    assert unreferenced == []
