@@ -18,7 +18,13 @@ from fractions import Fraction
 from typing import NoReturn
 
 from . import __version__
-from .constructions import build_witness, certify_witness, witness_from_json, witness_to_json
+from .constructions import (
+    DEFAULT_RETRIES,
+    build_witness,
+    certify_witness,
+    witness_from_json,
+    witness_to_json,
+)
 from .degeneration import (
     NODE_A1,
     chow_f0_identities,
@@ -110,7 +116,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("construct", help="build a witness surface and write it out")
     p.add_argument("--d", type=int, required=True, help="surface degree (>= 3)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retries", type=int, default=32)
+    p.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
     p.add_argument("--out", required=True, help="output witness file (JSON)")
     p.add_argument("--json", action="store_true", help="print the witness document")
     p.set_defaults(handler=cmd_construct)
@@ -202,12 +208,7 @@ def cmd_certify(args, manifest: RunManifest) -> int:
 
 def cmd_bounds(args, manifest: RunManifest) -> int:
     try:
-        if args.space == "ci4":
-            if args.h is None:
-                raise ValueError("ci4 bounds need --h")
-            spec = SystemSpec("ci4", args.d, args.h)
-        else:
-            spec = SystemSpec("p3", args.d)
+        spec = SystemSpec(args.space, args.d, args.h)
         dim = linear_system_dim(spec)
         delta = max_regular_delta(spec)
         floor = heuristic_floor(spec)

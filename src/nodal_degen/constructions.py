@@ -175,6 +175,11 @@ def _lift_chart(p2: MultiPoly, s_power: int) -> MultiPoly:
     return MultiPoly(3, {(s_power,) + e: c for e, c in p2.terms()})
 
 
+def _companion_surface(phi1: MultiPoly, psi: MultiPoly) -> MultiPoly:
+    """S_B = phi1 + tau*psi in (x, y, z, tau)."""
+    return phi1.extend(1) + MultiPoly.variable(4, 3) * psi
+
+
 def _derived_equations(phi1: MultiPoly, phi2: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """The projective equation w*phi1 + phi2 in (x, y, z, w) and the blow-up
     chart phi1(1,v,w) + s*phi2(1,v,w) in (s, v, w).
@@ -263,8 +268,6 @@ def build_witness(
         psi = _sb_psi(d, Fraction(1) if c_max is None else c_max / 2)
 
     projective, chart_a = _derived_equations(phi1, phi2)
-    tau = MultiPoly.variable(4, 3)
-    sb = phi1.extend(1) + tau * psi
 
     return SurfaceWitness(
         d=d,
@@ -275,7 +278,7 @@ def build_witness(
         psi=psi,
         projective_equation=projective,
         blowup_chart_a=chart_a,
-        sb_equation=sb,
+        sb_equation=_companion_surface(phi1, psi),
     )
 
 
@@ -348,12 +351,12 @@ def _sb_c_max(d: int, arrangement: LineArrangement) -> Fraction | None:
 def _sb_smooth_by_bound(w: SurfaceWitness) -> bool:
     """Whether S_B is phi1 + tau*x**(d-2) + c*tau**(d-1) with 0 < c < c_max.
 
-    Read after the structure and nodes stages, which make the arrangement
-    nodes all of phi1's nodes, each with x != 0."""
+    Read after the structure, gluing and nodes stages, which make S_B
+    phi1 + tau*psi and the arrangement nodes all of phi1's nodes, each with
+    x != 0; so psi = x**(d-2) + c*tau**(d-2) is the shape to check."""
     d = w.d
-    c = w.sb_equation.coefficient((0, 0, 0, d - 1))
-    shape = w.phi1.extend(1) + MultiPoly.variable(4, 3) * _sb_psi(d, c)
-    if c <= 0 or w.sb_equation != shape:
+    c = w.psi.coefficient((0, 0, 0, d - 2))
+    if c <= 0 or w.psi != _sb_psi(d, c):
         return False
     c_max = _sb_c_max(d, w.arrangement)
     return c_max is None or c < c_max
@@ -444,7 +447,8 @@ def certify_witness(
 ) -> CertificateBundle:
     """Run the full certificate chain on a witness.
 
-    Stages, in order: structural invariants, chart gluing, curve-node
+    Stages, in order: structural invariants, chart gluing (the restrictions
+    to R agree up to a unit, then S_B is phi1 + tau*psi), curve-node
     certification of every claimed node, T1 certification on the glued
     fibre, smoothness (S_A on its blow-up chart by the capped Groebner
     exclusion check; S_B in P3 by the bound of ``_sb_c_max`` when it has
@@ -470,6 +474,8 @@ def certify_witness(
             spec = central_fibre(witness)
         except GluingError as exc:
             return REFUTED, str(exc)
+        if witness.sb_equation != _companion_surface(witness.phi1, witness.psi):
+            return REFUTED, "companion surface differs from phi1 + tau*psi"
         return CERTIFIED, "chart restrictions agree up to a unit"
 
     def nodes() -> tuple[str, str]:

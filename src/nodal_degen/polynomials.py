@@ -13,7 +13,9 @@ descending canonical order.
 
 Invariant: every polynomial holds exponent tuples of ints, one per variable,
 mapped to nonzero ``Fraction`` values.  ``MultiPoly(arity, terms)`` checks
-and converts outside input into that form.  What the methods below build
+and converts outside input into that form: it takes int exponents and int
+or ``Fraction`` coefficients only, so a float, a boolean or a string raises
+``TypeError`` instead of being read inexactly.  What the methods below build
 from such terms already has it, up to the zeros that cancellation leaves, so
 they wrap their results with ``MultiPoly._trusted``, which drops those zeros
 and checks nothing else.
@@ -21,7 +23,6 @@ and checks nothing else.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterator, Mapping, Sequence
@@ -34,19 +35,22 @@ Monomial = tuple[int, ...]
 #: so expressions like ``max(p.degree(), q.degree())`` behave.
 MINUS_INFINITY = float("-inf")
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _set = object.__setattr__
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a decimal-integer fraction string like ``"3/2"`` or ``"-7"``."""
+    """Parse a decimal-integer fraction string like ``"3/2"`` or ``"-7"``:
+    an optional sign, decimal digits (any script's), and optionally a slash
+    and more digits, with whitespace allowed only around the whole."""
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not (digits.isdecimal() and (den.isdecimal() or not slash)):
         raise DataFormatError(f"not a rational literal: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise DataFormatError(f"zero denominator in {text!r}") from None
+    den = int(den) if slash else 1
+    if not den:
+        raise DataFormatError(f"zero denominator in {text!r}")
+    return Fraction(int(num), den)
 
 
 def json_int(value, name: str) -> int:
@@ -82,12 +86,18 @@ class MultiPoly:
             raise ArityError("arity must be nonnegative")
         clean: dict[Monomial, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
             if len(exps) != arity:
                 raise ArityError(f"exponent tuple {exps} does not match arity {arity}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            coeff = Fraction(coeff)
+            for e in exps:
+                if type(e) is not int:
+                    raise TypeError(f"exponent {e!r} in {exps} is not an int")
+                if e < 0:
+                    raise ValueError(f"negative exponent in {exps}")
+            if type(coeff) is int:
+                coeff = Fraction(coeff)
+            elif not isinstance(coeff, Fraction):
+                raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
             if coeff:
                 clean[exps] = coeff
         _set(self, "arity", arity)
@@ -114,7 +124,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, arity: int, value) -> "MultiPoly":
-        return cls(arity, {(0,) * arity: Fraction(value)})
+        return cls(arity, {(0,) * arity: value})
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "MultiPoly":
@@ -488,7 +498,7 @@ class MultiPoly:
                 raise ValueError(f"vars {names!r} do not name {arity} variables")
             terms = {}
             for entry in data["terms"]:
-                exps = tuple(json_int(v, "exponent") for v in entry["e"])
+                exps = tuple(entry["e"])
                 if exps in terms:
                     raise ValueError(f"duplicate exponent {list(exps)}")
                 terms[exps] = parse_rational(str(entry["c"]))

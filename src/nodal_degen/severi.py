@@ -44,19 +44,22 @@ class SystemSpec:
 
     space: str
     d: int
-    h: int | None = None
-    surface: MultiPoly | None = None  # membership equation for the ci4 case
+    h: int | None = None  # ci4 only
+    surface: MultiPoly | None = None  # ci4 only: optional membership equation
 
     def __post_init__(self):
         if self.space not in SPACES:
             raise ValueError(f"space must be one of {SPACES}, got {self.space!r}")
         if self.d < 0:
             raise ValueError("degree must be nonnegative")
-        if self.space == "ci4":
-            if self.h is None or self.h < 2:
-                raise ValueError("ci4 systems need h >= 2")
-            if self.d < self.h - 1:
-                raise ValueError("ci4 systems need d >= h - 1")
+        if self.space != "ci4":
+            if self.h is not None or self.surface is not None:
+                raise ValueError(f"h and surface belong to ci4 systems, not {self.space}")
+            return
+        if self.h is None or self.h < 2:
+            raise ValueError(f"ci4 systems need h >= 2, got {self.h}")
+        if self.d < self.h - 1:
+            raise ValueError("ci4 systems need d >= h - 1")
         if self.surface is not None:
             if self.surface.arity != 4:
                 raise ArityError("membership surface must live in 4 variables")
@@ -83,10 +86,8 @@ class SystemSpec:
         try:
             space = str(doc["space"])
             d = json_int(doc["d"], "d")
-            h = json_int(doc["h"], "h") if doc.get("h") is not None else None
-            surface = (
-                MultiPoly.from_json(doc["surface"]) if doc.get("surface") else None
-            )
+            h = json_int(doc["h"], "h") if "h" in doc else None
+            surface = MultiPoly.from_json(doc["surface"]) if "surface" in doc else None
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"malformed system spec: {exc}") from exc
         try:
@@ -181,7 +182,7 @@ def condition_matrix(spec: SystemSpec, points: Sequence[Sequence]) -> ConditionM
             )
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points in the node set")
-    if spec.space == "ci4" and spec.surface is not None:
+    if spec.surface is not None:  # ci4 only
         for p in pts:
             if spec.surface.eval_at(p) != 0:
                 raise PointNotOnSurface(

@@ -11,8 +11,10 @@ certification from the gradient polynomials of both charts, condition
 matrix rows evaluated in Fraction arithmetic, the dimension of the
 restricted ci4 system by the rank of a multiplication map, the general
 position of a line arrangement by pairwise ratios and triple determinants,
-and the coprimality of two polynomials in two variables by specialisation
-and univariate Euclid."""
+the coprimality of two polynomials in two variables by specialisation
+and univariate Euclid, the smoothness of S_A read from phi2 on the lines
+and nodes of the arrangement, and the rational-literal parser as a regular
+expression followed by ``Fraction``."""
 
 from __future__ import annotations
 
@@ -37,6 +39,18 @@ from nodal_degen.severi import canonical_point, choose
 from nodal_degen.singularities import REFUTED, T1, S0Spec, SingularityReport
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def parse_rational_by_regex(text: str) -> Fraction:
+    """Reference rational-literal parser: a regular-expression pass over the
+    stripped text (``\\d`` is any Unicode decimal digit), then ``Fraction``."""
+    text = text.strip()
+    if not _RATIONAL_RE.match(text):
+        raise DataFormatError(f"not a rational literal: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise DataFormatError(f"zero denominator in {text!r}") from None
 
 
 def poly(text: str, var_names: Sequence[str]) -> MultiPoly:
@@ -566,3 +580,42 @@ def coprime_by_specialisation(f: MultiPoly, g: MultiPoly, tries: int = 20) -> bo
         else:
             return False
     return True
+
+
+def sa_smooth_by_structure(phi2: MultiPoly, lines: Sequence[MultiPoly], nodes) -> bool:
+    """Whether S_A, the strict transform of w*phi1 + phi2 = 0 under the
+    blow-up of [0:0:0:1] (phi1 the product of ``lines``), is smooth, read
+    from phi2 alone: phi2 is nonzero at every node, and on each line phi2
+    restricts to a squarefree binary form of degree d.
+
+    Each line is parametrised by two integer points that span it, so its
+    point at x = 0 is covered too.  A binary form g(s, t) of degree d is
+    squarefree iff g(s, 1) is squarefree of degree at least d - 1 (the
+    multiplicity of the root at infinity is d minus that degree).
+    """
+    if any(phi2.eval_at(p) == 0 for p in nodes):
+        return False
+    d = phi2.degree()
+    s, t = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for line in lines:
+        a = _integer_multiple([line.coefficient(e) for e in units])
+        on_line = [c for c in (_int_cross(a, u) for u in units) if any(c)]
+        p, q = next((p, q) for p, q in combinations(on_line, 2) if any(_int_cross(p, q)))
+        g = phi2.compose([p[i] * s + q[i] * t for i in range(3)])
+        f = [g.coefficient((k, d - k)) for k in range(d + 1)]
+        while f and f[-1] == 0:
+            f.pop()
+        if len(f) < d:  # g = 0, or t**2 divides g
+            return False
+        if _univariate_gcd_degree(f, [k * c for k, c in enumerate(f)][1:]) > 0:
+            return False
+    return True
+
+
+def _int_cross(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )

@@ -73,6 +73,19 @@ def test_certify_tampered_gluing_exits_one(tmp_path):
     assert parsed["failed_stage"] == "gluing"
 
 
+def test_certify_tampered_psi_exits_one(tmp_path):
+    out = tmp_path / "w.json"
+    run(["construct", "--d", "4", "--seed", "3", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    # sB is left as built, so the restrictions to R still agree
+    doc["psi"] = poly("-7*y**2", ("x", "y", "z", "tau")).to_json(("x", "y", "z", "tau"))
+    out.write_text(json.dumps(doc))
+    code, text = run(["certify", str(out)])
+    assert code == 1
+    assert "failed stage: gluing" in text
+    assert "[Refuted] gluing: companion surface differs from phi1 + tau*psi" in text
+
+
 def test_bounds_values():
     code, text = run(["bounds", "--space", "p3", "--d", "8", "--json"])
     assert code == 0
@@ -93,6 +106,8 @@ def test_bounds_usage_errors():
     code, _ = run(["bounds", "--space", "p2", "--d", "3"])  # not a bounds space
     assert code == 64
     code, _ = run(["bounds", "--space", "p3", "--d", "1"])  # below the d >= 2 bound
+    assert code == 64
+    code, _ = run(["bounds", "--space", "p3", "--d", "4", "--h", "7"])  # h is ci4's only
     assert code == 64
 
 
@@ -452,6 +467,20 @@ _MALFORMED = {
                "surface": {"arity": 4, "terms": [_term([1, 1, 0, 0], "-1/0")]}},
          "p": {"points": [["0", "0", "0", "1"]]}}, 65,
     ),
+    "regularity:p3-with-h": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": {"space": "p3", "d": 1, "h": 2}, "p": {"points": [["0", "0", "0", "1"]]}}, 65,
+    ),
+    "regularity:p2-with-surface": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": _with(_P2_LINE, surface={"arity": 4, "terms": [_term([1, 1, 0, 0])]}),
+         "p": _POINTS}, 65,
+    ),
+    "regularity:empty-surface": (
+        ["regularity", "--system", "{s}", "--points", "{p}"],
+        {"s": {"space": "ci4", "d": 3, "h": 2, "surface": {}},
+         "p": {"points": [["0", "0", "0", "1"]]}}, 65,
+    ),
     "certify:zero-denominator": (
         ["certify", "{w}"], {"w": _witness(nodes=[["1/0", "0", "1"]])}, 65,
     ),
@@ -486,6 +515,7 @@ _MALFORMED = {
         ["construct", "--d", "4", "--seed", "1", "--retries", "-1", "--out", "{out}"], {}, 64,
     ),
     "bounds:not-an-integer": (["bounds", "--space", "p3", "--d", "q"], {}, 64),
+    "bounds:h-outside-ci4": (["bounds", "--space", "p3", "--d", "4", "--h", "7"], {}, 64),
 }
 
 

@@ -23,8 +23,19 @@ from nodal_degen.constructions import (
 )
 from nodal_degen.errors import DataFormatError, GenericityError, GluingError
 from nodal_degen.polynomials import MultiPoly
-from oracles import arrangement_nodes_by_determinants, coprime_by_specialisation, poly
-from nodal_degen.singularities import CERTIFIED, T1, certify_t1, exclude_extra_singularities
+from oracles import (
+    arrangement_nodes_by_determinants,
+    coprime_by_specialisation,
+    poly,
+    sa_smooth_by_structure,
+)
+from nodal_degen.singularities import (
+    CERTIFIED,
+    REFUTED,
+    T1,
+    certify_t1,
+    exclude_extra_singularities,
+)
 
 P2 = ("x", "y", "z")
 
@@ -397,6 +408,53 @@ def test_tau_free_psi_caught_on_tau_chart():
     five = certify_witness(_tau_free_default(5, 0))
     assert five.verdict != "Certified"
     assert five.failed_stage == "smoothness"
+
+
+# ------------------------------------------------------------- S_A smoothness
+
+
+def _sa_by_structure(w) -> bool:
+    return sa_smooth_by_structure(w.phi2, w.arrangement.lines, w.arrangement.nodes)
+
+
+def _sa_off_chart() -> constructions.SurfaceWitness:
+    """On the line y = 0, phi2 = x**2*(x**2 + z**2) has a double root at
+    [0:0:1], so w*phi1 + phi2 has zero value and gradient at
+    [x:y:z:w] = [0:0:1:1], a point with x = 0 outside the blow-up chart x = 1."""
+    phi2 = poly("x**4 + x**2*z**2 + y**4 + y*z**3", P2)
+    return build_witness(4, 0, lines=BOUNDED_TRIANGLE, phi2=phi2)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_sa_structure_agrees_with_the_chart_route(d):
+    for seed in range(3):
+        w = build_witness(d, seed)
+        chart = exclude_extra_singularities(w.blowup_chart_a, []).status
+        assert _sa_by_structure(w) == (chart == CERTIFIED)
+
+
+def test_sa_structure_and_chart_route_refute_a_chart_singularity():
+    w = build_witness(5, 615096)
+    assert not _sa_by_structure(w)
+    assert exclude_extra_singularities(w.blowup_chart_a, []).status == REFUTED
+
+
+def test_sa_structure_refutes_the_off_chart_singularity():
+    w = _sa_off_chart()
+    f, point = w.projective_equation, (0, 0, 1, 1)
+    assert f.eval_at(point) == 0
+    assert not any(g.eval_at(point) for g in f.gradient())
+    assert not _sa_by_structure(w)
+    # the chart route cannot see the point
+    assert exclude_extra_singularities(w.blowup_chart_a, []).status == CERTIFIED
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP open item 1: S_A is certified on its blow-up chart x = 1 only",
+)
+def test_sa_off_chart_singularity_not_certified():
+    assert certify_witness(_sa_off_chart()).verdict != "Certified"
 
 
 def test_coprimality_oracle_sees_a_common_factor():

@@ -16,6 +16,7 @@ from nodal_degen.polynomials import (
 )
 from oracles import (
     evaluate,
+    parse_rational_by_regex,
     poly,
     translate_by_compose,
     translate_by_taylor_shift,
@@ -205,11 +206,73 @@ def test_zero_denominator_is_a_data_format_error():
         ["not", "a", "document"],
         {"arity": 3, "vars": ["x"], "terms": []},  # vars disagree with arity
         {"arity": 1, "vars": [7], "terms": []},  # a variable name that is no string
+        {"arity": 2, "terms": [{"e": "10", "c": "1"}]},  # exponents as one string
+        {"arity": 2, "terms": [{"e": [1.0, 0], "c": "1"}]},  # integral float exponent
+        {"arity": 2, "terms": [{"e": [1, 0], "c": 0.1}]},  # float coefficient
     ],
 )
 def test_from_json_malformed_is_a_data_format_error(doc):
     with pytest.raises(DataFormatError, match="malformed polynomial document"):
         MultiPoly.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1.7, 0): 1},  # float exponent
+        {(1.0, 0): 1},  # integral float exponent
+        {("1", 0): 1},  # string exponent
+        {(True, 0): 1},  # boolean exponent
+        {(1, 0): 0.1},  # float coefficient
+        {(1, 0): 0.5},  # float coefficient with an exact binary value
+        {(1, 0): "3/2"},  # string coefficient
+        {(1, 0): True},  # boolean coefficient
+    ],
+)
+def test_constructor_rejects_inexact_terms(terms):
+    with pytest.raises(TypeError, match="is not an int"):
+        MultiPoly(2, terms)
+
+
+def test_constructor_accepts_int_and_fraction_coefficients():
+    p = MultiPoly(2, {(1, 0): 3, (0, 1): Fraction(1, 2), (0, 0): 0})
+    assert p.terms() == (((1, 0), Fraction(3)), ((0, 1), Fraction(1, 2)))
+    assert all(type(c) is Fraction for _, c in p.terms())
+    with pytest.raises(TypeError):
+        MultiPoly.const(2, 0.5)
+    with pytest.raises(TypeError):
+        poly("x", XY) + 0.5
+
+
+# signs, whitespace, zero denominators, decimal points, exponents, other
+# bases, digit separators, and decimal digits of other scripts (Arabic-Indic,
+# Extended Arabic-Indic, NKo, fullwidth) next to digits that are not decimal
+# (superscript, vulgar fraction, Roman numeral)
+_RATIONAL_CORPUS = [
+    "7", "-7", "+7", " 3/2 ", "\t-3/6\n", "\u00a05\u00a0", "0/5", "-0", "007/010",
+    "1/0", "-1/0", "0/0", "+7/00", "1.5", ".5", "1.", "1e3", "1E3", "0x10", "0b1",
+    "1_000", "1/2/3", "3/-2", "3/+2", "+-1", "--1", "", " ", "-", "+", "/", "1/",
+    "/2", "1 /2", "1/ 2", "- 1", "1 2", "inf", "nan", "\u0663/\u0664",
+    "-\u06f1\u06f2", "\u07c2/\u07c3", "\uff11\uff12", "\u00b3", "\u00bd", "\u216b",
+]
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text", _RATIONAL_CORPUS)
+def test_parse_rational_agrees_with_the_regex_reference(text):
+    assert _parse_outcome(parse_rational, text) == _parse_outcome(parse_rational_by_regex, text)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="0123456789+-/ .e_x\u0663\u06f2\uff15\u00b3\t", max_size=8))
+def test_parse_rational_agrees_with_the_regex_reference_on_random_text(text):
+    assert _parse_outcome(parse_rational, text) == _parse_outcome(parse_rational_by_regex, text)
 
 
 def test_format_point():

@@ -345,3 +345,29 @@ def test_system_spec_json_round_trip():
 def test_system_spec_degrees_must_be_json_integers(doc):
     with pytest.raises(DataFormatError, match="must be a JSON integer"):
         SystemSpec.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"space": "p3", "d": 3, "h": 7},  # h outside ci4
+        {"space": "p2", "d": 3, "h": 2},
+        {"space": "p3", "d": 3, "h": None},
+        {"space": "p3", "d": 2, "surface": {"arity": 4, "terms": [{"e": [1, 1, 0, 0], "c": "1"}]}},
+        {"space": "ci4", "d": 3, "h": 2, "surface": {}},  # empty, not absent
+        {"space": "ci4", "d": 3, "h": 2, "surface": None},
+    ],
+)
+def test_system_spec_reads_every_field_it_accepts(doc):
+    with pytest.raises(DataFormatError):
+        SystemSpec.from_json(doc)
+
+
+def test_system_spec_takes_h_and_surface_for_ci4_only():
+    surface = poly("x*y - z*w", XYZW)
+    for space in ("p2", "p3"):
+        with pytest.raises(ValueError, match="belong to ci4"):
+            SystemSpec(space, 3, 2)
+        with pytest.raises(ValueError, match="belong to ci4"):
+            SystemSpec(space, 3, surface=surface)
+    assert SystemSpec.from_json({"space": "ci4", "d": 3, "h": 2}).surface is None
