@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DataFormatError, GenericityError, GluingError
+from .errors import DataFormatError, GenericityError, GluingError, PointNotOnSurface
 from .polynomials import (
     MultiPoly,
     format_point,
@@ -460,6 +460,7 @@ def certify_witness(
     after gluing has been certified.
     """
     spec: S0Spec | None = None
+    node_reports = []  # the nodes stage's report of C at each claimed node
     rank: int | None = None
 
     def structure() -> tuple[str, str]:
@@ -479,18 +480,21 @@ def certify_witness(
         return CERTIFIED, "chart restrictions agree up to a unit"
 
     def nodes() -> tuple[str, str]:
-        curve = spec.curve_a()
         for point in spec.claimed_t1:
-            report = curve_double_point(curve, point)
+            try:
+                report = curve_double_point(spec.curve_a(), point)
+            except PointNotOnSurface:
+                return REFUTED, f"claimed node {format_point(point)} is not on C"
             if report.kind != NODE_A1:
                 return REFUTED, f"claimed node {format_point(point)} on C is {report.kind}"
+            node_reports.append(report)
         return CERTIFIED, f"all {len(spec.claimed_t1)} curve nodes certified"
 
     def t1() -> tuple[str, str]:
-        for point in spec.claimed_t1:
-            report = certify_t1(spec, point)
+        for node in node_reports:
+            report = certify_t1(spec, node)
             if report.kind != T1:
-                return REFUTED, f"point {format_point(point)}: {report.reason}"
+                return REFUTED, f"point {format_point(node.point)}: {report.reason}"
         return CERTIFIED, f"all {len(spec.claimed_t1)} T1 points certified"
 
     def smoothness() -> tuple[str, str]:

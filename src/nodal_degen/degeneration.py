@@ -17,7 +17,7 @@ from math import isqrt
 from .errors import ToolkitError
 from .linalg import RatMatrix
 from .polynomials import MultiPoly, format_rational
-from .singularities import NODE_A1, REFUTED, SingularityReport, classify_point
+from .singularities import REFUTED, SingularityReport, classify_point
 
 VERIFIED = "Verified"
 REFUTED_IDENTITY = "Refuted"

@@ -15,7 +15,8 @@ Invariant: every polynomial holds exponent tuples of ints, one per variable,
 mapped to nonzero ``Fraction`` values.  ``MultiPoly(arity, terms)`` checks
 and converts outside input into that form: it takes int exponents and int
 or ``Fraction`` coefficients only, so a float, a boolean or a string raises
-``TypeError`` instead of being read inexactly.  What the methods below build
+``TypeError`` instead of being read inexactly; so does a point or a value
+that a method evaluates at (``exact_rational``).  What the methods below build
 from such terms already has it, up to the zeros that cancellation leaves, so
 they wrap their results with ``MultiPoly._trusted``, which drops those zeros
 and checks nothing else.
@@ -61,6 +62,16 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def exact_rational(value, noun: str) -> Fraction:
+    """An int or a ``Fraction`` as a Fraction; a float, a boolean or a string
+    raises TypeError, naming it by ``noun``, instead of being read inexactly."""
+    if type(value) is int:
+        return Fraction(value)
+    if not isinstance(value, Fraction):
+        raise TypeError(f"{noun} {value!r} is not an int or a Fraction")
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as the interchange string ``"n"`` or ``"n/d"``."""
     return str(value)
@@ -94,10 +105,7 @@ class MultiPoly:
                     raise TypeError(f"exponent {e!r} in {exps} is not an int")
                 if e < 0:
                     raise ValueError(f"negative exponent in {exps}")
-            if type(coeff) is int:
-                coeff = Fraction(coeff)
-            elif not isinstance(coeff, Fraction):
-                raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
+            coeff = exact_rational(coeff, "coefficient")
             if coeff:
                 clean[exps] = coeff
         _set(self, "arity", arity)
@@ -290,9 +298,7 @@ class MultiPoly:
 
     def translate(self, point: Sequence) -> "MultiPoly":
         """Recentre: returns q with q(v) = p(v + point), the jet of order
-        deg p at the point; at the zero point this is ``self``."""
-        if len(point) == self.arity and not any(point):
-            return self
+        deg p at the point; at the zero point it equals ``self``."""
         jet, den = self._jet(point, max(self.degree(), 0))
         return MultiPoly._trusted(self.arity, {e: Fraction(c, den) for e, c in jet.items()})
 
@@ -308,7 +314,7 @@ class MultiPoly:
         """
         if len(point) != self.arity:
             raise ArityError(f"point length {len(point)} does not match arity {self.arity}")
-        point = [Fraction(a) for a in point]
+        point = [exact_rational(a, "coordinate") for a in point]
         final = [var for var, a in enumerate(point) if not a]
         terms = [(e, c) for e, c in self._terms.items() if sum([e[i] for i in final]) <= order]
         den = lcm(*(c.denominator for _, c in terms))
@@ -344,7 +350,7 @@ class MultiPoly:
         adding c * value**e[var] into the monomial with that slot set to 0."""
         if not 0 <= var < self.arity:
             raise ArityError(f"variable index {var} out of range for arity {self.arity}")
-        a = Fraction(value)
+        a = exact_rational(value, "value")
         powers = [Fraction(1)]
         res: dict[Monomial, Fraction] = {}
         for e, c in self._terms.items():

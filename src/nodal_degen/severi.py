@@ -22,6 +22,7 @@ from .errors import ArityError, DataFormatError, PointNotOnSurface, ToolkitError
 from .linalg import RatMatrix
 from .polynomials import (
     MultiPoly,
+    exact_rational,
     format_point,
     json_int,
     monomials_of_degree,
@@ -129,8 +130,9 @@ def heuristic_floor(spec: SystemSpec) -> int:
 
 
 def canonical_point(coords: Sequence) -> tuple[Fraction, ...]:
-    """Scale homogeneous coordinates so the first nonzero one equals 1."""
-    pt = [Fraction(x) for x in coords]
+    """Scale homogeneous coordinates, each an int or a Fraction, so the first
+    nonzero one equals 1."""
+    pt = [exact_rational(x, "coordinate") for x in coords]
     pivot = next((x for x in pt if x != 0), None)
     if pivot is None:
         raise ValueError("projective point cannot have all coordinates zero")

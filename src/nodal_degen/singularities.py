@@ -18,7 +18,7 @@ from typing import Sequence
 from .errors import ArityError, GluingError, PointNotOnSurface
 from .groebner import groebner_basis
 from .linalg import RatMatrix
-from .polynomials import MultiPoly, format_point, format_rational
+from .polynomials import MultiPoly, exact_rational, format_point, format_rational
 
 SMOOTH = "Smooth"
 NODE_A1 = "NodeA1"
@@ -64,7 +64,7 @@ def _classify(f: MultiPoly, q: Sequence, noun: str) -> SingularityReport:
     PointNotOnSurface message.  A nonzero gradient gives Smooth; a critical
     point is NodeA1 exactly when the Hessian has full rank, and
     DegenerateCritical(rank) otherwise."""
-    point = tuple(Fraction(x) for x in q)
+    point = tuple(exact_rational(x, "coordinate") for x in q)
     value, gradient, second = f.value_gradient_hessian(point)
     if value != 0:
         raise PointNotOnSurface(
@@ -122,7 +122,7 @@ class S0Spec:
 
     @cached_property
     def _on_r(self) -> tuple[MultiPoly, Fraction | None, MultiPoly, MultiPoly]:
-        """What the T1 checks read from the charts, once per spec: C, the
+        """What the node and T1 checks read from the charts, once per spec: C, the
         unit lam with C_A = lam * C_B (None if there is none), and the
         normal coefficients N_A and N_B (the v0-coefficients) on R."""
         curve = self.g_a.coefficient_in(0, 0)
@@ -143,26 +143,22 @@ class S0Spec:
         return lam
 
 
-def certify_t1(spec: S0Spec, p: Sequence) -> SingularityReport:
-    """Certify a T1 point of the central fibre at the R-point p = (z, u).
+def certify_t1(spec: S0Spec, node: SingularityReport) -> SingularityReport:
+    """Extend ``node = curve_double_point(spec.curve_a(), p)`` to a T1 verdict at p.
 
-    T1 holds iff both chart equations have nonzero gradient at p and the
-    common curve C has a node there (zero value and gradient, nondegenerate
-    2x2 Hessian).  Any failing condition yields Refuted naming it.
-
-    Each chart's tangential partials at (0, p) are those of its restriction
-    to R, that is C for the A side and C / lam for the B side, and its normal
-    partial is its v0-coefficient N at p; so one classification of C at p
-    gives both gradients.  C, lam and both N are read once per spec.
+    T1 holds iff both chart equations have nonzero gradient at p and ``node``
+    is NodeA1; any failing condition yields Refuted naming it.  A chart's
+    tangential partials at (0, p) are those of its restriction to R, C for
+    the A side and C / lam for the B side, and its normal partial is its
+    v0-coefficient N at p, so ``node`` gives both gradients.  lam and both N
+    are read once per spec.
     """
     lam = spec.gluing_scalar()  # raises GluingError on inconsistent input
-    curve, _, normal_a, normal_b = spec._on_r
-    curve_report = _classify(curve, p, "C")
-    point = curve_report.point
-    grad_c = curve_report.witness["gradient"]
+    normal_a, normal_b = spec._on_r[2:]
+    grad_c = node.witness["gradient"]
     witness = {
-        "gradient_a": (normal_a.eval_at(point),) + grad_c,
-        "gradient_b": (normal_b.eval_at(point),) + tuple(g / lam for g in grad_c),
+        "gradient_a": (normal_a.eval_at(node.point),) + grad_c,
+        "gradient_b": (normal_b.eval_at(node.point),) + tuple(g / lam for g in grad_c),
         "gluing_scalar": lam,
     }
     reason = None
@@ -171,14 +167,14 @@ def certify_t1(spec: S0Spec, p: Sequence) -> SingularityReport:
     elif not any(witness["gradient_b"]):
         reason = "S_B singular at p"
     else:
-        witness["curve_hessian_det"] = curve_report.witness.get("hessian_det")
+        witness["curve_hessian_det"] = node.witness.get("hessian_det")
         witness["curve_gradient"] = grad_c
-        if curve_report.kind == SMOOTH:
+        if node.kind == SMOOTH:
             reason = "C smooth at p"
-        elif curve_report.kind != NODE_A1:
+        elif node.kind != NODE_A1:
             reason = "C has degenerate double point"
     kind = T1 if reason is None else REFUTED
-    return SingularityReport(point, kind, reason=reason, witness=witness)
+    return SingularityReport(node.point, kind, reason=reason, witness=witness)
 
 
 @dataclass(frozen=True)

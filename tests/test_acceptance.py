@@ -19,7 +19,7 @@ from nodal_degen.linalg import RatMatrix
 from nodal_degen.polynomials import MultiPoly
 from nodal_degen.severi import SystemSpec, linear_system_dim
 from oracles import poly, restricted_dim_oracle
-from nodal_degen.singularities import S0Spec, certify_t1
+from nodal_degen.singularities import S0Spec, certify_t1, curve_double_point
 
 
 def run_cli(argv):
@@ -261,7 +261,7 @@ def test_criterion_7_refutation_coverage(tmp_path):
         poly("y + z**2", ("y", "z", "u")),
         poly("x + z**2", ("x", "z", "u")),
     )
-    report = certify_t1(cusp, (0, 0))
+    report = certify_t1(cusp, curve_double_point(cusp.curve_a(), (0, 0)))
     assert report.kind == "Refuted"
     assert report.reason == "C has degenerate double point"
     # the same failure through the witness pipeline names the t1 stage

@@ -25,6 +25,7 @@ from nodal_degen.errors import DataFormatError, GenericityError, GluingError
 from nodal_degen.polynomials import MultiPoly
 from oracles import (
     arrangement_nodes_by_determinants,
+    certify_t1_by_gradients,
     coprime_by_specialisation,
     poly,
     sa_smooth_by_structure,
@@ -34,6 +35,7 @@ from nodal_degen.singularities import (
     REFUTED,
     T1,
     certify_t1,
+    curve_double_point,
     exclude_extra_singularities,
 )
 
@@ -472,7 +474,7 @@ def test_central_fibre_t1_points():
     spec = central_fibre(w)
     assert len(spec.claimed_t1) == 3
     for p in spec.claimed_t1:
-        assert certify_t1(spec, p).kind == T1
+        assert certify_t1(spec, curve_double_point(spec.curve_a(), p)).kind == T1
 
 
 def test_central_fibre_gluing_and_transversality():
@@ -506,14 +508,14 @@ def test_tampered_companion_surface_fails_gluing():
     assert bundle.failed_stage == "gluing"
 
 
-def test_psi_vanishing_at_node_refuted_at_t1_with_rational_text():
+def _psi_vanishing_at_a_node() -> constructions.SurfaceWitness:
     w = build_witness(4, 0)
     assert w.chart_nodes()[0] == (Fraction(-1, 8), Fraction(5, 16))
     # psi = (x + 8*y)*(16*z - 5*x) vanishes at the node (1, -1/8, 5/16) only,
     # so S_B is singular there
     psi = poly("16*x*z - 5*x**2 + 128*y*z - 40*x*y", ("x", "y", "z", "tau"))
     tau = MultiPoly.variable(4, 3)
-    tampered = type(w)(
+    return type(w)(
         d=w.d,
         seed=w.seed,
         arrangement=w.arrangement,
@@ -524,10 +526,73 @@ def test_psi_vanishing_at_node_refuted_at_t1_with_rational_text():
         blowup_chart_a=w.blowup_chart_a,
         sb_equation=w.phi1.extend(1) + tau * psi,
     )
-    bundle = certify_witness(tampered)
+
+
+def _phi2_vanishing_at_a_node() -> constructions.SurfaceWitness:
+    """build_witness(5, 1) with x**5 times phi2's value at the second node
+    taken off phi2; x = 1 at every node, so S_A is singular there."""
+    w = build_witness(5, 1)
+    phi2 = w.phi2 - w.phi2.eval_at(w.arrangement.nodes[1]) * MultiPoly.variable(3, 0) ** 5
+    projective, chart = constructions._derived_equations(w.phi1, phi2)
+    return dataclasses.replace(w, phi2=phi2, projective_equation=projective, blowup_chart_a=chart)
+
+
+def test_psi_vanishing_at_node_refuted_at_t1_with_rational_text():
+    bundle = certify_witness(_psi_vanishing_at_a_node())
     assert bundle.verdict == "Refuted"
     assert bundle.failed_stage == "t1"
     assert bundle.stages[-1].detail == "point (-1/8, 5/16): S_B singular at p"
+
+
+@pytest.mark.parametrize(
+    "witness, failed_stage",
+    [
+        (lambda: build_witness(3, 2), None),
+        (lambda: build_witness(4, 1), None),
+        (lambda: build_witness(5, 0), None),
+        (_psi_vanishing_at_a_node, "t1"),
+        (_phi2_vanishing_at_a_node, "t1"),
+    ],
+    ids=["d3", "d4", "d5", "psi-at-node", "phi2-at-node"],
+)
+def test_witness_pipeline_classifies_each_node_once(monkeypatch, witness, failed_stage):
+    """The nodes stage classifies C once per claimed node, and the t1 stage
+    extends those reports to what the gradient oracle finds."""
+    w = witness()
+    jet = MultiPoly.value_gradient_hessian
+    jets, t1_reports = [], []
+
+    def counted_jet(self, point):
+        jets.append(point)
+        return jet(self, point)
+
+    def recorded_t1(spec, node):
+        t1_reports.append((spec, certify_t1(spec, node)))
+        return t1_reports[-1][1]
+
+    monkeypatch.setattr(MultiPoly, "value_gradient_hessian", counted_jet)
+    monkeypatch.setattr(constructions, "certify_t1", recorded_t1)
+    bundle = certify_witness(w)
+    assert bundle.failed_stage == failed_stage
+    assert len(jets) == w.delta
+    assert t1_reports
+    for spec, report in t1_reports:
+        slow = certify_t1_by_gradients(spec, report.point)
+        assert (report.point, report.kind, report.reason, report.witness) == (
+            slow.point, slow.kind, slow.reason, slow.witness
+        )
+    assert t1_reports[-1][1].kind == (T1 if failed_stage is None else REFUTED)
+
+
+def test_claimed_node_off_c_refuted_at_nodes():
+    w = build_witness(4, 0)
+    nodes = list(w.arrangement.nodes)
+    x, y, z = nodes[0]
+    nodes[0] = (x, y + 1, z)
+    off_curve = LineArrangement(w.arrangement.lines, tuple(nodes))
+    bundle = certify_witness(dataclasses.replace(w, arrangement=off_curve))
+    assert (bundle.verdict, bundle.failed_stage) == ("Refuted", "nodes")
+    assert bundle.stages[-1].detail == "claimed node (7/8, 5/16) is not on C"
 
 
 def test_tampered_chart_fails_structure():

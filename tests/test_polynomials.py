@@ -244,6 +244,22 @@ def test_constructor_accepts_int_and_fraction_coefficients():
         poly("x", XY) + 0.5
 
 
+@pytest.mark.parametrize(
+    "method, args",
+    [
+        ("eval_at", ((0.1, 0),)),  # read as a float: 3602879701896397/36028797018963968
+        ("eval_at", (("1", 0),)),
+        ("eval_at", ((True, 0),)),
+        ("value_gradient_hessian", ((0, 0.5),)),
+        ("translate", ((0.0, 0),)),
+        ("set_var", (0, 0.1)),
+    ],
+)
+def test_points_reject_inexact_coordinates(method, args):
+    with pytest.raises(TypeError, match="is not an int or a Fraction"):
+        getattr(poly("x", XY), method)(*args)
+
+
 # signs, whitespace, zero denominators, decimal points, exponents, other
 # bases, digit separators, and decimal digits of other scripts (Arabic-Indic,
 # Extended Arabic-Indic, NKo, fullwidth) next to digits that are not decimal

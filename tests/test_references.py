@@ -1,6 +1,7 @@
 """Every top-level function, class and module constant of the package is
 named somewhere other than its own definition, in the package, the tests or
-the benchmark; a name nothing refers to is dead code to delete."""
+the benchmark; a name nothing refers to is dead code to delete.  Every name
+a module of the package imports is used in that module."""
 
 import ast
 import re
@@ -36,3 +37,22 @@ def test_every_top_level_name_is_referenced():
             if not any(word.search(outside if p == path else s) for p, s in sources.items()):
                 unreferenced.append(f"{path.name}:{node.lineno} {name}")
     assert unreferenced == []
+
+
+def _imports(tree: ast.Module):
+    """(bound name, line) of every import in a module, ``from __future__`` excepted."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in _imports(tree) if name not in used]
+    assert unused == []

@@ -297,6 +297,9 @@ def test_canonical_point():
     assert canonical_point((0, 2, 4)) == (0, 1, 2)
     with pytest.raises(ValueError):
         canonical_point((0, 0, 0))
+    # read as a float, 0.1 would scale z to 36028797018963968/3602879701896397
+    with pytest.raises(TypeError, match="coordinate 0.1 is not an int"):
+        canonical_point((0.1, 0, 1))
 
 
 def test_points_file_round_trip():

@@ -86,6 +86,10 @@ def test_low_rank_critical_points(text, rank):
 def test_point_off_surface_is_an_error():
     with pytest.raises(PointNotOnSurface):
         classify_point(poly("s**2 + v**2 + w**2", SVW), (1, 0, 0))
+    with pytest.raises(TypeError, match="coordinate 0.0 is not an int"):
+        classify_point(poly("s**2 + v**2 + w**2", SVW), (0.0, 0, 0))
+    with pytest.raises(TypeError, match="coordinate 0.5 is not an int"):
+        curve_double_point(poly("z*u", ("z", "u")), (0, 0.5))
     with pytest.raises(ArityError):
         classify_point(poly("x + y", ("x", "y")), (0, 0))
 
@@ -98,8 +102,8 @@ def test_point_off_surface_messages_are_readable():
         curve_double_point(poly("z*u - 1", ("z", "u")), (3, Fraction(-1, 8)))
     assert str(err.value) == "point (3, -1/8) not on curve (value -11/8)"
     with pytest.raises(PointNotOnSurface) as err:
-        certify_t1(_spec("y + z*u", "x + z*u"), (Fraction(2, 3), 1))
-    assert str(err.value) == "point (2/3, 1) not on C (value 2/3)"
+        curve_double_point(_spec("y + z*u", "x + z*u").curve_a(), (Fraction(2, 3), 1))
+    assert str(err.value) == "point (2/3, 1) not on curve (value 2/3)"
 
 
 def test_report_json_shape():
@@ -162,26 +166,26 @@ def test_classification_invariant_under_affine_conjugation():
 
 def test_t1_normal_form_node():
     spec = _spec("y + z*u", "x + z*u")
-    assert certify_t1(spec, (0, 0)).kind == T1
+    assert certify_t1(spec, curve_double_point(spec.curve_a(), (0, 0))).kind == T1
 
 
 def test_t1_cusp_restriction_refuted():
     spec = _spec("y + z**2", "x + z**2")
-    r = certify_t1(spec, (0, 0))
+    r = certify_t1(spec, curve_double_point(spec.curve_a(), (0, 0)))
     assert r.kind == REFUTED
     assert r.reason == "C has degenerate double point"
 
 
 def test_t1_smooth_curve_refuted():
     spec = _spec("y + z + u", "x + z + u")
-    r = certify_t1(spec, (0, 0))
+    r = certify_t1(spec, curve_double_point(spec.curve_a(), (0, 0)))
     assert r.kind == REFUTED
     assert r.reason == "C smooth at p"
 
 
 def test_t1_singular_component_refuted():
     spec = _spec("y**2 + z*u", "x + z*u")
-    r = certify_t1(spec, (0, 0))
+    r = certify_t1(spec, curve_double_point(spec.curve_a(), (0, 0)))
     assert r.kind == REFUTED
     assert r.reason == "S_A singular at p"
 
@@ -189,18 +193,18 @@ def test_t1_singular_component_refuted():
 def test_t1_gluing_mismatch_raises():
     spec = _spec("y + z*u", "x + z*u + z**2")
     with pytest.raises(GluingError):
-        certify_t1(spec, (0, 0))
+        certify_t1(spec, curve_double_point(spec.curve_a(), (0, 0)))
 
 
 def test_t1_point_off_curve():
     spec = _spec("y + z*u", "x + z*u")
     with pytest.raises(PointNotOnSurface):
-        certify_t1(spec, (1, 1))
+        certify_t1(spec, curve_double_point(spec.curve_a(), (1, 1)))
 
 
 def test_t1_restriction_scalar_freedom():
     spec = _spec("y + z*u", "x + 3*z*u")
-    r = certify_t1(spec, (0, 0))
+    r = certify_t1(spec, curve_double_point(spec.curve_a(), (0, 0)))
     assert r.kind == T1
     assert r.witness["gluing_scalar"] == Fraction(1, 3)
 
@@ -224,7 +228,7 @@ def test_t1_iff_half_hessian_nonzero(data):
     b = f2.coefficient((0, 0, 1, 1))
     c = f2.coefficient((0, 0, 0, 2))
     half_hessian_det = a * c - b * b / 4
-    report = certify_t1(spec, (0, 0))
+    report = certify_t1(spec, curve_double_point(spec.curve_a(), (0, 0)))
     assert (report.kind == T1) == (half_hessian_det != 0)
 
 
@@ -278,7 +282,8 @@ def _glued_fibres(draw):
 
 
 def _assert_t1_routes_agree(spec: S0Spec, p) -> SingularityReport:
-    fast, slow = certify_t1(spec, p), certify_t1_by_gradients(spec, p)
+    fast = certify_t1(spec, curve_double_point(spec.curve_a(), p))
+    slow = certify_t1_by_gradients(spec, p)
     assert (fast.kind, fast.reason) == (slow.kind, slow.reason)
     for key in ("gradient_a", "gradient_b", "gluing_scalar", "curve_hessian_det"):
         assert fast.witness.get(key) == slow.witness.get(key), key
