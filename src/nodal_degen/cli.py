@@ -123,7 +123,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="run the certificate chain on a witness file")
     p.add_argument("witness", help="witness file produced by construct")
-    p.add_argument("--degree-cap", type=int, default=None)
+    p.add_argument(
+        "--degree-cap",
+        type=int,
+        default=None,
+        help="degree cap of the Groebner routes only: the S_A chart, and the "
+        "S_B tau = 1 chart when psi does not have the default shape",
+    )
     p.add_argument("--out", default=None, help="write the certified bundle here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_certify)

@@ -110,21 +110,6 @@ def _cross(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]
     )
 
 
-def general_lines(
-    k: int, seed: int, retries: int = DEFAULT_RETRIES
-) -> LineArrangement:
-    """Seeded arrangement of k lines satisfying the position invariants.
-
-    Lines are drawn with integer coefficients of height at most COEFF_BOUND
-    and redrawn (within the retry budget) until no two are proportional and
-    no three concurrent.
-    """
-    if k < 2:
-        raise ValueError("need at least 2 lines")
-    _check_budget(retries)
-    return _draw_arrangement(random.Random(seed), k, retries)
-
-
 def _check_budget(retries: int) -> None:
     """A budget below one draw can never succeed: a usage error, not a GenericityError."""
     if retries < 1:
@@ -229,7 +214,7 @@ def build_witness(
     rng = random.Random(seed)
 
     if lines is None:
-        candidate = _draw_arrangement(rng, d - 1, retries, in_node_chart=True)
+        candidate = _draw_arrangement(rng, d - 1, retries)
     else:
         candidate = LineArrangement.from_lines(lines)
     perm = _chart_permutation(candidate)
@@ -282,22 +267,20 @@ def build_witness(
     )
 
 
-def _draw_arrangement(
-    rng: random.Random, k: int, retries: int, in_node_chart: bool = False
-) -> LineArrangement:
+def _draw_arrangement(rng: random.Random, k: int, retries: int) -> LineArrangement:
     """The first of at most ``retries`` drawn arrangements of k lines in
-    general position and, if asked, with a chart containing every node."""
+    general position and with a chart containing every node."""
     for _ in range(retries):
         lines = [_draw_form(rng, 3, 1) for _ in range(k)]
         try:
             arrangement = LineArrangement.from_lines(lines)
         except ValueError:
             continue
-        if not in_node_chart or _chart_permutation(arrangement) is not None:
+        if _chart_permutation(arrangement) is not None:
             return arrangement
-    chart = " with a common node chart" if in_node_chart else ""
     raise GenericityError(
-        f"could not draw {k} general lines{chart} within budget {retries}"
+        f"could not draw {k} general lines with a common node chart "
+        f"within budget {retries}"
     )
 
 

@@ -119,28 +119,6 @@ def verify_t1_to_node(family: FamilySlice) -> SingularityReport:
     )
 
 
-def slice_product_identity(t) -> bool:
-    """Exact check that the charts of the two slices +alpha and -alpha multiply
-    to the chart of the algebraic two-branch family.
-
-    Eliminating x from (x - y - z**2 - u**2)**2 = -4t on xy = t and clearing
-    the y**2 denominator gives (y**2 + y*(z**2 + u**2) - t)**2 + 4t*y**2; this
-    must equal chart(alpha) * chart(-alpha) identically.
-    """
-    t = Fraction(t)
-    family = deformation_slice(t)
-    if family is None:
-        raise ValueError("no rational slice at this t")
-    plus = family.surface_chart
-    minus = slice_chart(t, -family.alpha)
-    y = MultiPoly.variable(3, 0)
-    z = MultiPoly.variable(3, 1)
-    u = MultiPoly.variable(3, 2)
-    core = y * y + y * (z * z + u * u) - MultiPoly.const(3, t)
-    algebraic = core * core + MultiPoly.const(3, 4 * t) * y * y
-    return plus * minus == algebraic
-
-
 @dataclass(frozen=True)
 class HessianLimitResult:
     """Comparison of det(B0) with the discriminant of the restricted quadric."""
@@ -255,7 +233,6 @@ class DivisorClassF0:
         return text
 
 
-SIGMA = DivisorClassF0(1, 0)
 FIBRE = DivisorClassF0(0, 1)
 
 

@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import ArityError
-from .polynomials import Monomial, MultiPoly
+from .polynomials import Monomial, MultiPoly, exact_rational
 
 try:  # exact big-integer backend; plain int is a correct (slower) fallback
     from gmpy2 import gcd as _zgcd
@@ -364,7 +364,7 @@ def groebner_basis(
         raise ValueError(
             f"degree_cap {degree_cap} below maximal generator degree {max_deg}"
         )
-    points = {tuple(Fraction(x) for x in p) for p in zeros}
+    points = {tuple(exact_rational(x, "coordinate") for x in p) for p in zeros}
     n_zeros = sum(all(g.eval_at(p) == 0 for g in gens) for p in points)
     pk = _Packing(arity, degree_cap)
     basis, status = _run_buchberger(

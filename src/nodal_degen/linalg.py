@@ -54,19 +54,8 @@ class RatMatrix:
         ncols = len(int_rows[0]) if int_rows else 0
         return cls(len(int_rows), ncols, tuple(int_rows), tuple(multipliers))
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return cls(n, n, rows, (1,) * n)
-
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.int_rows[i][j], self.multipliers[i])
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [
-            [Fraction(x, m) for x in row]
-            for row, m in zip(self.int_rows, self.multipliers)
-        ]
 
     def rank(self) -> int:
         """Exact rank via fraction-free (Bareiss) elimination."""

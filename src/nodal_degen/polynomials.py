@@ -213,8 +213,8 @@ class MultiPoly:
         return MultiPoly.const(self.arity, other) - self
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, MultiPoly):
+            c = exact_rational(other, "coefficient")
             return MultiPoly._trusted(self.arity, {e: c * v for e, v in self._terms.items()})
         self._check_arity(other)
         res: dict[Monomial, Fraction] = {}

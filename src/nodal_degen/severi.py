@@ -248,57 +248,6 @@ def independence_rank(cm: ConditionMatrix) -> IndependenceReport:
     )
 
 
-@dataclass(frozen=True)
-class T1CodimensionReport:
-    """Codimension of the T1-forcing subspace inside a local linear system."""
-
-    rank: int
-    codimension: int
-    dim_before: int
-    dim_after: int
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "codimension": self.codimension,
-            "dim_before": self.dim_before,
-            "dim_after": self.dim_after,
-        }
-
-
-def t1_codimension(local_equations: Sequence[MultiPoly]) -> T1CodimensionReport:
-    """Codimension of forcing a T1 point at the origin of a local system.
-
-    The members form a basis of the system, given as 4-variable local
-    equations in (x, y, z, u) already translated so the candidate point is
-    the origin.  Forcing the normal form a*x + b*y + (higher order) there
-    imposes three linear conditions on the system: the value and the two
-    partials along (z, u) must vanish.  The codimension is the exact rank
-    of those three functionals, so the constrained subsystem always
-    satisfies dim_after >= dim_before - 3.
-    """
-    if not local_equations:
-        raise ValueError("empty local system")
-    origin = (0, 0, 0, 0)
-    cols = []
-    for g in local_equations:
-        if g.arity != 4:
-            raise ArityError("local equations live in 4 variables (x, y, z, u)")
-        value, grad, _ = g.value_gradient_hessian(origin)
-        cols.append([value, grad[2], grad[3]])
-    matrix = RatMatrix.from_rows(
-        [[col[i] for col in cols] for i in range(3)]
-    )
-    rank = matrix.rank()
-    dim_before = len(local_equations) - 1
-    return T1CodimensionReport(
-        rank=rank,
-        codimension=rank,
-        dim_before=dim_before,
-        dim_after=dim_before - rank,
-    )
-
-
 def parse_points(doc: dict) -> list[tuple[Fraction, ...]]:
     """Read the points file format {"points": [["0","0","1"], ...]}."""
     try:

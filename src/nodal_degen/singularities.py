@@ -405,7 +405,7 @@ def exclude_extra_singularities(
         raise ValueError("zero polynomial does not define a surface")
     if any(len(p) != 3 for p in allowed):
         raise ArityError("allowed points of a surface chart have 3 coordinates")
-    allowed_set = {tuple(Fraction(x) for x in p) for p in allowed}
+    allowed_set = {tuple(exact_rational(x, "coordinate") for x in p) for p in allowed}
     result = groebner_basis([f, *f.gradient()], degree_cap, zeros=allowed_set)
     if result.status != "ok":
         return ExclusionResult(

@@ -227,7 +227,10 @@ def solve_unique(matrix: RatMatrix, rhs: Sequence[Fraction]) -> list[Fraction]:
     if len(rhs) != matrix.rows:
         raise ValueError("rhs length must equal the number of rows")
     n = matrix.cols
-    aug = [row + [Fraction(rhs[i])] for i, row in enumerate(matrix.to_rows())]
+    aug = [
+        [matrix.entry(i, j) for j in range(n)] + [Fraction(rhs[i])]
+        for i in range(matrix.rows)
+    ]
     pivots: list[int] = []
     row = 0
     for col in range(n):

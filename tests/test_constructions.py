@@ -17,7 +17,6 @@ from nodal_degen.constructions import (
     build_witness,
     central_fibre,
     certify_witness,
-    general_lines,
     witness_from_json,
     witness_to_json,
 )
@@ -63,16 +62,6 @@ def test_triangle_nodes():
 def test_triangle_product_vanishes_at_node():
     # the arrangement product evaluated at a node is zero
     assert triangle().product().eval_at((0, 0, 1)) == 0
-
-
-def test_two_lines_one_node():
-    assert len(general_lines(2, 7).nodes) == 1
-
-
-def test_four_general_lines_seed_42():
-    arr = general_lines(4, 42)
-    assert len(arr.nodes) == 6
-    assert len(set(arr.nodes)) == 6
 
 
 def test_proportional_lines_rejected():
@@ -127,15 +116,9 @@ def test_permuted_matches_from_lines(coeffs):
         assert arr.permuted(perm) == expected
 
 
-def test_general_lines_determinism():
-    assert general_lines(5, 11).lines == general_lines(5, 11).lines
-
-
 @pytest.mark.parametrize("retries", [0, -1])
 def test_general_lines_rejects_empty_budget(retries):
-    # a usage error, like build_witness, not the retryable GenericityError
-    with pytest.raises(ValueError, match="retries must be at least 1"):
-        general_lines(3, 0, retries=retries)
+    # a usage error, not the retryable GenericityError
     with pytest.raises(ValueError, match="retries must be at least 1"):
         build_witness(3, 0, retries=retries)
 
@@ -156,7 +139,10 @@ def test_witness_draws_at_most_retries_arrangements(monkeypatch):
     monkeypatch.setattr(constructions, "_chart_permutation", lambda arrangement: None)
     for seed in range(3):
         draws.clear()
-        with pytest.raises(GenericityError, match="budget 8"):
+        with pytest.raises(
+            GenericityError,
+            match="could not draw 3 general lines with a common node chart within budget 8",
+        ):
             build_witness(4, seed, retries=8)
         assert len(draws) == 8 * 3  # 8 arrangements of d - 1 = 3 lines
 
@@ -388,7 +374,7 @@ def _tau_free_default(d: int, seed: int) -> constructions.SurfaceWitness:
     d - 2, like phi2 of degree d, that vanishes at no node."""
     w = build_witness(d, seed)
     rng = random.Random(seed)
-    constructions._draw_arrangement(rng, d - 1, constructions.DEFAULT_RETRIES, in_node_chart=True)
+    constructions._draw_arrangement(rng, d - 1, constructions.DEFAULT_RETRIES)
 
     def draw(degree):
         while True:

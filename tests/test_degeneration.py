@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from nodal_degen.degeneration import (
     FIBRE,
-    SIGMA,
     DivisorClassF0,
     chow_f0_identities,
     deformation_slice,
@@ -18,7 +17,6 @@ from nodal_degen.degeneration import (
     minimal_effective_multiplicity,
     rational_sqrt,
     slice_chart,
-    slice_product_identity,
     tangent_cone_prediction,
     theta_restriction_class,
     verify_t1_to_node,
@@ -109,8 +107,15 @@ def test_general_fibre_sample_is_all_nodes():
 
 
 def test_two_slices_multiply_to_algebraic_family():
+    # eliminating x from (x - y - z**2 - u**2)**2 = -4t on xy = t and
+    # clearing the y**2 denominator gives (y**2 + y*(z**2 + u**2) - t)**2
+    # + 4t*y**2, the product of the charts of the slices +alpha and -alpha
     for t in (Fraction(-1), Fraction(-9, 4), Fraction(-25), Fraction(-1, 16)):
-        assert slice_product_identity(t)
+        alpha = deformation_slice(t).alpha
+        y, z, u = (MultiPoly.variable(3, i) for i in range(3))
+        core = y * y + y * (z * z + u * u) - t
+        algebraic = core * core + 4 * t * y * y
+        assert slice_chart(t, alpha) * slice_chart(t, -alpha) == algebraic
 
 
 # -------------------------------------------------------------- limit matrix
@@ -215,9 +220,10 @@ def test_limit_hessian_guards_match_derivative_oracle():
 
 
 def test_intersection_form():
-    assert SIGMA.dot(SIGMA) == 0
+    sigma = DivisorClassF0(1, 0)
+    assert sigma.dot(sigma) == 0
     assert FIBRE.dot(FIBRE) == 0
-    assert SIGMA.dot(FIBRE) == 1
+    assert sigma.dot(FIBRE) == 1
     assert DivisorClassF0(-1, -1).self_intersection() == 2
 
 

@@ -250,6 +250,12 @@ def test_zeros_of_wrong_length_rejected():
         groebner_basis([poly("x**2 - 1", XY)], zeros=[(1, 0, 0)])
 
 
+@pytest.mark.parametrize("zero", [(1.0, 0), (1, True), (0.1, 0)])
+def test_zeros_must_be_exact(zero):
+    with pytest.raises(TypeError, match="coordinate .* is not an int or a Fraction"):
+        groebner_basis([poly("x**2 - 1", XY)], zeros=[zero])
+
+
 def test_verified_zeros_finish_a_capped_run():
     # V(I) = {(0, 0), (0, 1), (0, -1)}; the pair left at cap 3 has lcm degree 5
     gens = [poly("x**2*y - x", XY), poly("y**3 - x*y - y", XY), poly("y - y**3", XY)]

@@ -242,6 +242,13 @@ def test_constructor_accepts_int_and_fraction_coefficients():
         MultiPoly.const(2, 0.5)
     with pytest.raises(TypeError):
         poly("x", XY) + 0.5
+    # a scalar factor is read like a summand: exactly, or not at all
+    for scalar in (0.5, True):
+        with pytest.raises(TypeError, match=f"coefficient {scalar} is not an int"):
+            MultiPoly.variable(2, 0) * scalar
+    with pytest.raises(TypeError, match="coefficient 0.5 is not an int or a Fraction"):
+        0.5 * MultiPoly.variable(2, 0)
+    assert 2 * poly("x", XY) * Fraction(1, 4) == poly("1/2*x", XY)
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodal_degen.constructions import general_lines
+from nodal_degen.constructions import build_witness
 from nodal_degen.errors import ArityError, DataFormatError, PointNotOnSurface
 from nodal_degen.linalg import RatMatrix
-from nodal_degen.polynomials import MultiPoly, monomials_of_degree
+from nodal_degen.polynomials import MultiPoly
 from nodal_degen.severi import (
     SystemSpec,
     canonical_point,
@@ -22,7 +22,6 @@ from nodal_degen.severi import (
     max_regular_delta,
     parse_points,
     primitive_integer_point,
-    t1_codimension,
 )
 from oracles import condition_rows_by_fractions, poly, restricted_dim_oracle
 
@@ -118,7 +117,7 @@ def test_large_arrangement_nodes_are_regular(d):
     # k lines with no three concurrent impose independent conditions in every
     # degree >= k - 2 (induction on k with the residual sequence), so the
     # nodes of d - 1 general lines have full rank against degree d - 1
-    nodes = general_lines(d - 1, d).nodes
+    nodes = build_witness(d, d).arrangement.nodes
     r = independence_rank(condition_matrix(SystemSpec("p2", d - 1), nodes))
     assert (r.rank, r.regular) == (choose(d - 1, 2), True)
 
@@ -192,7 +191,7 @@ def _assert_rows_match_fraction_oracle(spec: SystemSpec, points):
     oracle = RatMatrix.from_rows(fraction_rows)
     primitive = tuple(_primitive_rescaling(row) for row in fraction_rows)
     assert cm.matrix.int_rows == primitive
-    assert cm.matrix.to_rows() == [list(row) for row in primitive]
+    assert cm.matrix.multipliers == (1,) * len(primitive)
     report = independence_rank(cm)
     assert report.rank == oracle.rank()
     assert report.modular_rank == oracle.rank_mod()
@@ -247,50 +246,6 @@ def test_primitive_integer_point():
     assert primitive_integer_point((1, Fraction(-2, 3), 0)) == [3, -2, 0]
     assert primitive_integer_point((Fraction(2), 4, -6)) == [1, 2, -3]
     assert primitive_integer_point((0, Fraction(1, 2), Fraction(-1, 4))) == [0, 2, -1]
-
-
-def _local_monomial_basis(max_degree: int):
-    basis = []
-    for deg in range(max_degree + 1):
-        for e in monomials_of_degree(4, deg):
-            basis.append(MultiPoly(4, {e: Fraction(1)}))
-    return basis
-
-
-def test_t1_codimension_full_system():
-    # every local system rich enough to move value and (z, u) slopes pays
-    # exactly three conditions for a T1 point
-    for max_degree in (1, 2, 3):
-        basis = _local_monomial_basis(max_degree)
-        r = t1_codimension(basis)
-        assert r.codimension == 3
-        assert r.dim_after == r.dim_before - 3
-        assert r.dim_after >= r.dim_before - 3
-
-
-def test_t1_codimension_degenerate_system():
-    # no z or u linear terms anywhere: only the value condition is active
-    basis = [MultiPoly.const(4, 1), MultiPoly.variable(4, 0), MultiPoly.variable(4, 1)]
-    r = t1_codimension(basis)
-    assert r.codimension == 1
-    # and with no constant term either, the point conditions are free
-    r2 = t1_codimension(basis[1:])
-    assert r2.codimension == 0
-
-
-def test_t1_codimension_never_exceeds_three():
-    basis = _local_monomial_basis(2) + [
-        poly("x + y + z*u", ("x", "y", "z", "u")),
-        poly("z**2 - u**2 + x*y", ("x", "y", "z", "u")),
-    ]
-    assert t1_codimension(basis).codimension <= 3
-
-
-def test_t1_codimension_input_guards():
-    with pytest.raises(ValueError):
-        t1_codimension([])
-    with pytest.raises(ArityError):
-        t1_codimension([poly("x + y", ("x", "y"))])
 
 
 def test_canonical_point():

@@ -379,6 +379,13 @@ def test_exclusion_allowed_point_of_wrong_length(point):
         exclude_extra_singularities(poly("s**2 + v**2 + w**2", SVW), [point])
 
 
+@pytest.mark.parametrize("point", [(0.0, 0, 0), (True, 0, 0), (0, Fraction(1, 2), 0.5)])
+def test_exclusion_allowed_point_must_be_exact(point):
+    # read through Fraction, (0.0, 0, 0) would pass as the origin and certify the cone
+    with pytest.raises(TypeError, match="coordinate .* is not an int or a Fraction"):
+        exclude_extra_singularities(poly("s**2 + v**2 + w**2", SVW), [point])
+
+
 TWO_NODES = "s**4 - 2*s**3 + s**2 + v**2 + w**2"
 
 
