@@ -1,9 +1,11 @@
 """Command-line front end with stable file formats and exit codes.
 
-Exit codes: 0 certified/success, 1 refuted, 2 inconclusive (including
-retryable construction failures), 64 usage error, 65 data-format error.
-Every JSON document carries a run manifest; verdicts are deterministic
-functions of the inputs and the --seed flag.
+Each command handler computes a document, a text report and a verdict;
+``main`` alone attaches the run manifest, writes ``--out``, prints and picks
+the exit code.  Exit codes: 0 for a success verdict, 2 for Inconclusive
+(including retryable construction failures), 1 for any other verdict, 64
+usage error (an unwritable ``--out`` included), 65 data-format error.
+Verdicts are deterministic functions of the inputs and the --seed flag.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NoReturn
 
@@ -52,6 +53,12 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
+# the exit code of each verdict; any verdict not listed is a refutation
+_EXIT_CODES = {
+    **dict.fromkeys(("constructed", "ok", "Certified", "Verified", NODE_A1), EXIT_OK),
+    "Inconclusive": EXIT_INCONCLUSIVE,
+}
+
 
 def _fail(code: int, message: str) -> SystemExit:
     print(message, file=sys.stderr)
@@ -64,32 +71,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message) -> NoReturn:
         self.print_usage(sys.stderr)
         raise _fail(EXIT_USAGE, f"{self.prog}: error: {message}")
-
-
-@dataclass
-class RunManifest:
-    command: str
-    arguments: list[str]
-    seed: int | None
-    version: str
-    started: float
-
-    def to_json(self, verdict: str | None) -> dict:
-        return {
-            "command": self.command,
-            "arguments": self.arguments,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_ms": int((time.perf_counter() - self.started) * 1000),
-            "verdict": verdict,
-        }
-
-
-def _emit(doc: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(text)
 
 
 def _load_json(path: str) -> dict:
@@ -164,28 +145,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def cmd_construct(args, manifest: RunManifest) -> int:
+def cmd_construct(args) -> tuple[dict, str, str]:
     try:
         witness = build_witness(args.d, args.seed, retries=args.retries)
     except ValueError as exc:
         raise _fail(EXIT_USAGE, f"construct: {exc}")
     except GenericityError as exc:
         raise _fail(EXIT_INCONCLUSIVE, f"construct: {exc}")
-    doc = witness_to_json(witness)
-    doc["manifest"] = manifest.to_json("constructed")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _emit(
-        doc,
-        args.json,
+    text = (
         f"witness d={witness.d} seed={witness.seed} with {witness.delta} "
-        f"claimed T1 points written to {args.out}",
+        f"claimed T1 points written to {args.out}"
     )
-    return EXIT_OK
+    return witness_to_json(witness), text, "constructed"
 
 
-def cmd_certify(args, manifest: RunManifest) -> int:
+def cmd_certify(args) -> tuple[dict, str, str]:
     witness = witness_from_json(_load_json(args.witness))
     try:
         bundle = certify_witness(witness, degree_cap=args.degree_cap)
@@ -193,26 +167,15 @@ def cmd_certify(args, manifest: RunManifest) -> int:
         raise  # main maps these to their own exit codes
     except ValueError as exc:  # --degree-cap below a generator degree
         raise _fail(EXIT_USAGE, f"certify: {exc}")
-    doc = witness_to_json(witness, bundle)
-    doc["manifest"] = manifest.to_json(bundle.verdict)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     lines = [f"verdict: {bundle.verdict}"]
     if bundle.failed_stage:
         lines.append(f"failed stage: {bundle.failed_stage}")
     for stage in bundle.stages:
         lines.append(f"  [{stage.status}] {stage.name}: {stage.detail}")
-    _emit(doc, args.json, "\n".join(lines))
-    if bundle.verdict == "Certified":
-        return EXIT_OK
-    if bundle.verdict == "Refuted":
-        return EXIT_REFUTED
-    return EXIT_INCONCLUSIVE
+    return witness_to_json(witness, bundle), "\n".join(lines), bundle.verdict
 
 
-def cmd_bounds(args, manifest: RunManifest) -> int:
+def cmd_bounds(args) -> tuple[dict, str, str]:
     try:
         spec = SystemSpec(args.space, args.d, args.h)
         dim = linear_system_dim(spec)
@@ -228,18 +191,16 @@ def cmd_bounds(args, manifest: RunManifest) -> int:
         "delta_max": delta,
         "heuristic_floor": floor,
         "heuristic_status": "conjectural",
-        "manifest": manifest.to_json("ok"),
     }
     text = (
         f"system dim      : {dim}\n"
         f"delta_max       : {delta}\n"
         f"heuristic floor : {floor} (conjectural)"
     )
-    _emit(doc, args.json, text)
-    return EXIT_OK
+    return doc, text, "ok"
 
 
-def cmd_regularity(args, manifest: RunManifest) -> int:
+def cmd_regularity(args) -> tuple[dict, str, str]:
     spec = SystemSpec.from_json(_load_json(args.system))
     points = parse_points(_load_json(args.points))
     try:
@@ -247,19 +208,14 @@ def cmd_regularity(args, manifest: RunManifest) -> int:
     except (ValueError, PointNotOnSurface) as exc:
         raise _fail(EXIT_DATA, f"regularity: {exc}")
     report = independence_rank(cm)
-    verdict = "Certified" if report.regular else "Refuted"
-    doc = report.to_json()
-    doc["manifest"] = manifest.to_json(verdict)
-    _emit(
-        doc,
-        args.json,
+    text = (
         f"rank {report.rank} of {report.delta} conditions; "
-        f"regular: {report.regular}; tangent dim {report.tangent_dim}",
+        f"regular: {report.regular}; tangent dim {report.tangent_dim}"
     )
-    return EXIT_OK if report.regular else EXIT_REFUTED
+    return report.to_json(), text, "Certified" if report.regular else "Refuted"
 
 
-def cmd_deform_check(args, manifest: RunManifest) -> int:
+def cmd_deform_check(args) -> tuple[dict, str, str]:
     try:
         t = parse_rational(args.t)
     except DataFormatError:
@@ -270,13 +226,9 @@ def cmd_deform_check(args, manifest: RunManifest) -> int:
         )
     family = deformation_slice(t)
     if family is None:
-        doc = {
-            "t": format_rational(t),
-            "status": "NoRationalSlice",
-            "manifest": manifest.to_json("Inconclusive"),
-        }
-        _emit(doc, args.json, f"no rational slice at t = {t} (-4t is not a square)")
-        return EXIT_INCONCLUSIVE
+        doc = {"t": format_rational(t), "status": "NoRationalSlice"}
+        text = f"no rational slice at t = {t} (-4t is not a square)"
+        return doc, text, "Inconclusive"
     report = verify_t1_to_node(family)
     doc = report.to_json()
     doc["t"] = format_rational(t)
@@ -286,37 +238,29 @@ def cmd_deform_check(args, manifest: RunManifest) -> int:
         if report.witness.get("tangent_cone_ratio") is not None
         else None
     )
-    doc["manifest"] = manifest.to_json(report.kind)
     point = ", ".join(format_rational(x) for x in report.point)
-    _emit(
-        doc,
-        args.json,
+    text = (
         f"t = {t}: {report.kind} at chart point ({point}); "
         f"Hessian det {format_rational(report.witness.get('hessian_det', Fraction(0)))}; "
-        f"tangent cone ratio {doc['tangent_cone_ratio']}",
+        f"tangent cone ratio {doc['tangent_cone_ratio']}"
     )
-    return EXIT_OK if report.kind == NODE_A1 else EXIT_REFUTED
+    return doc, text, report.kind
 
 
-def cmd_hessian_limit(args, manifest: RunManifest) -> int:
-    poly_doc = _load_json(args.poly)
-    p = MultiPoly.from_json(poly_doc)
+def cmd_hessian_limit(args) -> tuple[dict, str, str]:
+    p = MultiPoly.from_json(_load_json(args.poly))
     try:
         result = hessian_limit_check(p)
     except ValueError as exc:
         raise _fail(EXIT_DATA, f"hessian-limit: {exc}")
-    doc = result.to_json()
-    doc["manifest"] = manifest.to_json(result.verdict)
-    _emit(
-        doc,
-        args.json,
+    text = (
         f"{result.verdict}: det(B0) = {format_rational(result.det_b0)}, "
-        f"disc = {format_rational(result.discriminant)}",
+        f"disc = {format_rational(result.discriminant)}"
     )
-    return EXIT_OK if result.verdict == "Verified" else EXIT_REFUTED
+    return result.to_json(), text, result.verdict
 
 
-def cmd_chow_f0(args, manifest: RunManifest) -> int:
+def cmd_chow_f0(args) -> tuple[dict, str, str]:
     identities = chow_f0_identities()
     lines = [identities.transcript()]
     for m in (0, 1, 2):
@@ -329,27 +273,38 @@ def cmd_chow_f0(args, manifest: RunManifest) -> int:
     doc = identities.to_json()
     doc["theta_restrictions"] = [theta_restriction_class(m).to_json() for m in (0, 1, 2)]
     doc["minimal_effective_multiplicity"] = minimal_effective_multiplicity()
-    doc["manifest"] = manifest.to_json("ok")
-    _emit(doc, args.json, "\n".join(lines))
-    return EXIT_OK
+    return doc, "\n".join(lines), "ok"
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its handler computes, and only this function reports."""
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
-    manifest = RunManifest(
-        command=args.command,
-        arguments=argv,
-        seed=getattr(args, "seed", None),
-        version=__version__,
-        started=time.perf_counter(),
-    )
+    started = time.perf_counter()
     try:
-        return args.handler(args, manifest)
+        doc, text, verdict = args.handler(args)
     except DataFormatError as exc:
         raise _fail(EXIT_DATA, f"nodal-degen: {exc}")
     except ToolkitError as exc:
         raise _fail(EXIT_REFUTED, f"nodal-degen: {exc}")
+    doc["manifest"] = {
+        "command": args.command,
+        "arguments": argv,
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        "wall_time_ms": int((time.perf_counter() - started) * 1000),
+        "verdict": verdict,
+    }
+    out = getattr(args, "out", None)
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise _fail(EXIT_USAGE, f"nodal-degen: cannot write {out}: {exc}")
+    print(json.dumps(doc, indent=2, sort_keys=True) if args.json else text)
+    return _EXIT_CODES.get(verdict, EXIT_REFUTED)
 
 
 if __name__ == "__main__":

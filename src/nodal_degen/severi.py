@@ -74,14 +74,6 @@ class SystemSpec:
     def monomial_basis(self):
         return list(monomials_of_degree(self.ambient_arity, self.d))
 
-    def to_json(self) -> dict:
-        doc: dict = {"space": self.space, "d": self.d}
-        if self.h is not None:
-            doc["h"] = self.h
-        if self.surface is not None:
-            doc["surface"] = self.surface.to_json()
-        return doc
-
     @classmethod
     def from_json(cls, doc: dict) -> "SystemSpec":
         try:

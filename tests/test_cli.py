@@ -255,6 +255,116 @@ def test_construct_determinism(tmp_path):
     assert da == db
 
 
+# ------------------------------------------------------------ reporting path
+
+
+@pytest.mark.parametrize("command", ["construct", "certify"])
+def test_unwritable_out_is_a_usage_error(command, tmp_path, capsys):
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(witness_to_json(build_witness(3, 0))))
+    target = tmp_path / "absent" / "out.json"
+    argv = {
+        "construct": ["construct", "--d", "3", "--out", str(target)],
+        "certify": ["certify", str(witness), "--out", str(target)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"nodal-degen: cannot write {target}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_certify_out_file_is_the_printed_document(tmp_path):
+    witness, bundle = tmp_path / "w.json", tmp_path / "bundle.json"
+    run(["construct", "--d", "3", "--seed", "1", "--out", str(witness)])
+    code, text = run(["certify", str(witness), "--out", str(bundle), "--json"])
+    assert code == 0
+    written, printed = json.loads(bundle.read_text()), json.loads(text)
+    assert bundle.read_text() == json.dumps(written, indent=2, sort_keys=True) + "\n"
+    for doc in (written, printed):
+        assert doc["manifest"].pop("wall_time_ms") >= 0
+    assert written == printed
+    assert written["verdict"] == written["manifest"]["verdict"] == "Certified"
+
+
+# the documented exit code of each verdict (README "CLI"); any other is 1
+_VERDICT_EXIT = {
+    "constructed": 0, "ok": 0, "Certified": 0, "Verified": 0, "NodeA1": 0, "Inconclusive": 2,
+}
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _construct_argv(tmp_path, monkeypatch):
+    return ["construct", "--d", "3", "--seed", "0", "--out", str(tmp_path / "w.json")]
+
+
+def _certify_argv(tmp_path, monkeypatch):
+    return ["certify", _write(tmp_path / "w.json", witness_to_json(build_witness(3, 0)))]
+
+
+def _certify_refuted_argv(tmp_path, monkeypatch):
+    doc = witness_to_json(build_witness(4, 2))
+    doc["sB"] = poly("y**3", ("x", "y", "z", "tau")).to_json(("x", "y", "z", "tau"))
+    return ["certify", _write(tmp_path / "w.json", doc)]
+
+
+def _regularity_argv(points):
+    def argv(tmp_path, monkeypatch):
+        system = _write(tmp_path / "sys.json", {"space": "p2", "d": 1})
+        return ["regularity", "--system", system, "--points", _write(tmp_path / "p.json", points)]
+    return argv
+
+
+def _hessian_limit_argv(tmp_path, monkeypatch):
+    p = poly("x + y + z*u", ("x", "y", "z", "u"))
+    return ["hessian-limit", "--poly", _write(tmp_path / "p.json", p.to_json(("x", "y", "z", "u")))]
+
+
+def _hessian_limit_refuted_argv(tmp_path, monkeypatch):
+    # det(B0) = disc holds for every normal form, so a shifted discriminant
+    # is the only way the command can reach its refutation
+    from nodal_degen import degeneration
+
+    exact = degeneration.binary_quadric_discriminant
+    monkeypatch.setattr(degeneration, "binary_quadric_discriminant", lambda p: exact(p) + 1)
+    return _hessian_limit_argv(tmp_path, monkeypatch)
+
+
+_VERDICT_CASES = {
+    "construct": (_construct_argv, "constructed"),
+    "certify:certified": (_certify_argv, "Certified"),
+    "certify:refuted": (_certify_refuted_argv, "Refuted"),
+    "bounds": (lambda *_: ["bounds", "--space", "p3", "--d", "8"], "ok"),
+    "regularity:regular": (
+        _regularity_argv({"points": [["0", "0", "1"], ["0", "1", "1"], ["1", "0", "1"]]}),
+        "Certified",
+    ),
+    "regularity:dependent": (
+        _regularity_argv({"points": [["0", "0", "1"], ["0", "1", "1"], ["0", "1", "2"]]}),
+        "Refuted",
+    ),
+    "deform-check:node": (lambda *_: ["deform-check", "--t=-1"], "NodeA1"),
+    "deform-check:no-rational-slice": (lambda *_: ["deform-check", "--t=1"], "Inconclusive"),
+    "hessian-limit:verified": (_hessian_limit_argv, "Verified"),
+    "hessian-limit:refuted": (_hessian_limit_refuted_argv, "Refuted"),
+    "chow-f0": (lambda *_: ["chow-f0"], "ok"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERDICT_CASES))
+def test_exit_code_is_the_verdicts(case, tmp_path, monkeypatch):
+    make_argv, verdict = _VERDICT_CASES[case]
+    code, text = run(make_argv(tmp_path, monkeypatch) + ["--json"])
+    assert json.loads(text)["manifest"]["verdict"] == verdict
+    assert code == _VERDICT_EXIT.get(verdict, 1)
+
+
 # ----------------------------------------------------- one parser per process
 
 
@@ -507,7 +617,9 @@ _MALFORMED = {
     "certify:degree-cap-below-generators": (
         ["certify", "{w}", "--degree-cap", "1"], {"w": _witness()}, 64,
     ),
+    "certify:unwritable-out": (["certify", "{w}", "--out", "{unwritable}"], {"w": _witness()}, 64),
     "construct:not-an-integer": (["construct", "--d", "x", "--out", "{out}"], {}, 64),
+    "construct:unwritable-out": (["construct", "--d", "3", "--out", "{unwritable}"], {}, 64),
     "construct:zero-retries": (
         ["construct", "--d", "4", "--seed", "1", "--retries", "0", "--out", "{out}"], {}, 64,
     ),
@@ -527,7 +639,11 @@ def valid_witness():
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_input_exits_64_or_65(case, tmp_path, valid_witness):
     argv, files, code = _MALFORMED[case]
-    paths = {"absent": str(tmp_path / "absent.json"), "out": str(tmp_path / "out.json")}
+    paths = {
+        "absent": str(tmp_path / "absent.json"),
+        "out": str(tmp_path / "out.json"),
+        "unwritable": str(tmp_path / "absent" / "out.json"),
+    }
     for name, content in files.items():
         if callable(content):
             content = content(valid_witness)

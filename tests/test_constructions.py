@@ -203,6 +203,32 @@ def test_singular_witness_chart_refuted_at_smoothness():
     assert "(12, 1, 1)" in detail
 
 
+def _verdict_summary(witness):
+    bundle = certify_witness(witness)
+    return bundle.verdict, bundle.failed_stage, bundle.t1_count, bundle.regularity_rank
+
+
+@pytest.mark.parametrize(
+    "d, seed, verdict, failed_stage",
+    [(d, seed, "Certified", None) for d in (3, 4, 5) for seed in range(3)]
+    + [(5, 615096, "Refuted", "smoothness")],
+)
+def test_verdict_is_independent_of_line_order_and_scale(d, seed, verdict, failed_stage):
+    """Reordering the lines, scaling one line or scaling phi2 describes the
+    same surface, so the rebuilt witness gets the same verdict."""
+    w = build_witness(d, seed)
+    summary = _verdict_summary(w)
+    assert summary[:2] == (verdict, failed_stage)
+    lines = list(w.arrangement.lines)
+    for changed_lines, phi2 in (
+        (lines[::-1], w.phi2),
+        ([lines[0] * Fraction(-3, 2)] + lines[1:], w.phi2),
+        (lines, w.phi2 * Fraction(5, 7)),
+    ):
+        rebuilt = build_witness(d, seed, lines=changed_lines, phi2=phi2)
+        assert _verdict_summary(rebuilt) == summary
+
+
 @pytest.mark.parametrize("d", range(3, 8))
 def test_built_witnesses_satisfy_the_structural_invariants(d):
     # build_witness does not re-check its own output; the structure stage does
