@@ -31,6 +31,7 @@ from .degeneration import (
     deformation_slice,
     hessian_limit_check,
     minimal_effective_multiplicity,
+    render_f0,
     theta_restriction_class,
     verify_t1_to_node,
 )
@@ -261,18 +262,19 @@ def cmd_hessian_limit(args) -> tuple[dict, str, str]:
 
 
 def cmd_chow_f0(args) -> tuple[dict, str, str]:
-    identities = chow_f0_identities()
-    lines = [identities.transcript()]
-    for m in (0, 1, 2):
-        tr = theta_restriction_class(m)
-        status = "effective" if tr.effective else "not effective"
+    doc = chow_f0_identities()
+    names = {"e": "e", "theta_restriction": "theta|_E", "second_exceptional_restriction": "E''|_E"}
+    lines = [f"{name} = {render_f0(doc[key])}" for key, name in names.items()]
+    lines += [f"check {name}: {'ok' if ok else 'FAILED'}" for name, ok in doc["checks"].items()]
+    doc["theta_restrictions"] = [theta_restriction_class(m) for m in (0, 1, 2)]
+    for tr in doc["theta_restrictions"]:
+        status = "effective" if tr["effective"] else "not effective"
         lines.append(
-            f"theta restriction m={m}: ({tr.fibre_coeff}, {tr.e_coeff}) {status}"
+            f"theta restriction m={tr['multiplicity']}: "
+            f"({tr['fibre_coeff']}, {tr['e_coeff']}) {status}"
         )
-    lines.append(f"minimal effective multiplicity: {minimal_effective_multiplicity()}")
-    doc = identities.to_json()
-    doc["theta_restrictions"] = [theta_restriction_class(m).to_json() for m in (0, 1, 2)]
     doc["minimal_effective_multiplicity"] = minimal_effective_multiplicity()
+    lines.append(f"minimal effective multiplicity: {doc['minimal_effective_multiplicity']}")
     return doc, "\n".join(lines), "ok"
 
 

@@ -384,11 +384,7 @@ def central_fibre(witness: SurfaceWitness) -> S0Spec:
     """
     g_a = witness.blowup_chart_a
     g_b = witness.sb_equation.dehomogenize(0).permute_vars((2, 0, 1))
-    spec = S0Spec(
-        g_a=g_a,
-        g_b=g_b,
-        claimed_t1=witness.chart_nodes(),
-    )
+    spec = S0Spec(g_a=g_a, g_b=g_b)
     spec.gluing_scalar()  # raises on mismatch
     return spec
 
@@ -463,7 +459,7 @@ def certify_witness(
         return CERTIFIED, "chart restrictions agree up to a unit"
 
     def nodes() -> tuple[str, str]:
-        for point in spec.claimed_t1:
+        for point in witness.chart_nodes():
             try:
                 report = curve_double_point(spec.curve_a(), point)
             except PointNotOnSurface:
@@ -471,14 +467,14 @@ def certify_witness(
             if report.kind != NODE_A1:
                 return REFUTED, f"claimed node {format_point(point)} on C is {report.kind}"
             node_reports.append(report)
-        return CERTIFIED, f"all {len(spec.claimed_t1)} curve nodes certified"
+        return CERTIFIED, f"all {len(node_reports)} curve nodes certified"
 
     def t1() -> tuple[str, str]:
         for node in node_reports:
             report = certify_t1(spec, node)
             if report.kind != T1:
                 return REFUTED, f"point {format_point(node.point)}: {report.reason}"
-        return CERTIFIED, f"all {len(spec.claimed_t1)} T1 points certified"
+        return CERTIFIED, f"all {len(node_reports)} T1 points certified"
 
     def smoothness() -> tuple[str, str]:
         bound = _sb_smooth_by_bound(witness)

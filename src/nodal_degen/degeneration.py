@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import ToolkitError
 from .linalg import RatMatrix
 from .polynomials import MultiPoly, format_rational
 from .singularities import REFUTED, SingularityReport, classify_point
 
 VERIFIED = "Verified"
-REFUTED_IDENTITY = "Refuted"
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:
@@ -186,148 +184,69 @@ def hessian_limit_check(p: MultiPoly) -> HessianLimitResult:
     b0 = limit_hessian(p)
     det = b0.det()
     disc = binary_quadric_discriminant(p)
-    verdict = VERIFIED if det == disc else REFUTED_IDENTITY
+    verdict = VERIFIED if det == disc else REFUTED
     return HessianLimitResult(verdict, b0, det, disc)
 
 
 # ---------------------------------------------------------------- F0 classes
+# A class a*sigma + b*f on the exceptional quadric P1 x P1 is the pair (a, b).
+
+FIBRE = (0, 1)
 
 
-@dataclass(frozen=True)
-class DivisorClassF0:
-    """Integer class a*sigma + b*f in the Picard lattice of P1 x P1.
+def f0_dot(c1, c2) -> int:
+    """The intersection form of P1 x P1: sigma**2 = f**2 = 0 and sigma . f = 1."""
+    return c1[0] * c2[1] + c1[1] * c2[0]
 
-    The intersection form is sigma**2 = f**2 = 0 and sigma . f = 1.
+
+def render_f0(c) -> str:
+    """The class (a, b) written as a*sigma + b*f."""
+    return MultiPoly(2, {(1, 0): c[0], (0, 1): c[1]}).render(("sigma", "f"))
+
+
+def chow_f0_identities() -> dict:
+    """The classes e, theta|_E and E''|_E on E = P1 x P1, and their checks.
+
+    For e = a*sigma + b*f, f.e = a pins a = -1, and e**2 = 2ab = 2 then pins
+    b = -1.  theta|_E is the class of the tautological sub-bundle, i.e. e, and
+    the normal-crossing relation 2f + theta|_E + E''|_E = 0 determines the
+    last class.  The identities are checked again on the result.
     """
-
-    a: int
-    b: int
-
-    def dot(self, other: "DivisorClassF0") -> int:
-        return self.a * other.b + self.b * other.a
-
-    def self_intersection(self) -> int:
-        return 2 * self.a * self.b
-
-    def __add__(self, other: "DivisorClassF0") -> "DivisorClassF0":
-        return DivisorClassF0(self.a + other.a, self.b + other.b)
-
-    def __neg__(self) -> "DivisorClassF0":
-        return DivisorClassF0(-self.a, -self.b)
-
-    def render(self) -> str:
-        parts = []
-        for coeff, name in ((self.a, "sigma"), (self.b, "f")):
-            if coeff == 0:
-                continue
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            body = name if mag == 1 else f"{mag}*{name}"
-            parts.append((sign, body))
-        if not parts:
-            return "0"
-        head_sign, head = parts[0]
-        text = ("-" if head_sign == "-" else "") + head
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+    e = [-1, -1]
+    theta = e
+    epp = [-2 * f - t for f, t in zip(FIBRE, theta)]
+    return {
+        "e": e,
+        "theta_restriction": theta,
+        "second_exceptional_restriction": epp,
+        "checks": {
+            "f.e = -1": f0_dot(FIBRE, e) == -1,
+            "e**2 = 2": f0_dot(e, e) == 2,
+            "2f + theta|_E + E''|_E = 0": all(
+                2 * f + t + x == 0 for f, t, x in zip(FIBRE, theta, epp)
+            ),
+            "theta|_E = e": theta == e,
+        },
+    }
 
 
-FIBRE = DivisorClassF0(0, 1)
-
-
-@dataclass(frozen=True)
-class F0Identities:
-    """The restriction classes on the exceptional P1 x P1 and their checks."""
-
-    e: DivisorClassF0
-    theta_restriction: DivisorClassF0
-    second_exceptional_restriction: DivisorClassF0
-
-    def checks(self) -> dict[str, bool]:
-        total = (
-            FIBRE + FIBRE + self.theta_restriction + self.second_exceptional_restriction
-        )
-        return {
-            "f.e = -1": FIBRE.dot(self.e) == -1,
-            "e**2 = 2": self.e.self_intersection() == 2,
-            "2f + theta|_E + E''|_E = 0": total == DivisorClassF0(0, 0),
-            "theta|_E = e": self.theta_restriction == self.e,
-        }
-
-    def transcript(self) -> str:
-        lines = [
-            f"e = {self.e.render()}",
-            f"theta|_E = {self.theta_restriction.render()}",
-            f"E''|_E = {self.second_exceptional_restriction.render()}",
-        ]
-        for name, ok in self.checks().items():
-            lines.append(f"check {name}: {'ok' if ok else 'FAILED'}")
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "e": [self.e.a, self.e.b],
-            "theta_restriction": [self.theta_restriction.a, self.theta_restriction.b],
-            "second_exceptional_restriction": [
-                self.second_exceptional_restriction.a,
-                self.second_exceptional_restriction.b,
-            ],
-            "checks": self.checks(),
-        }
-
-
-def chow_f0_identities() -> F0Identities:
-    """Solve for e = a*sigma + b*f from f.e = -1 and e**2 = 2, then derive E''|_E.
-
-    f.e = a pins a = -1, and e**2 = 2ab = 2 then pins b = 1/a = -1; the
-    normal-crossing relation 2f + theta|_E + E''|_E = 0 determines the last
-    class.  The identities are checked again on the result, and any failed
-    identity raises, since these are constants of the construction.
-    """
-    a = -1  # f.e = a
-    b = 1 // a  # e**2 = 2ab = 2
-    e = DivisorClassF0(a, b)
-    theta = e  # theta|_E is the class of the tautological sub-bundle, i.e. e
-    epp = -(FIBRE + FIBRE + theta)
-    result = F0Identities(e, theta, epp)
-    failed = [name for name, ok in result.checks().items() if not ok]
-    if failed:
-        raise ToolkitError(f"restriction-class identities failed: {failed}")
-    return result
-
-
-@dataclass(frozen=True)
-class ThetaRestriction:
-    """Restriction class (2m - 2) f_Theta + m E for multiplicity m along F."""
-
-    multiplicity: int
-    fibre_coeff: int
-    e_coeff: int
-
-    @property
-    def effective(self) -> bool:
-        return self.fibre_coeff >= 0 and self.e_coeff >= 0
-
-    def to_json(self) -> dict:
-        return {
-            "multiplicity": self.multiplicity,
-            "fibre_coeff": self.fibre_coeff,
-            "e_coeff": self.e_coeff,
-            "effective": self.effective,
-        }
-
-
-def theta_restriction_class(multiplicity: int) -> ThetaRestriction:
-    """The class (2m - 2, m) on Theta; effective iff both coefficients are >= 0."""
+def theta_restriction_class(multiplicity: int) -> dict:
+    """The class (2m - 2) f_Theta + m E on Theta for multiplicity m along F;
+    effective iff both coefficients are >= 0."""
     if multiplicity < 0:
         raise ValueError("multiplicity along F must be nonnegative")
-    return ThetaRestriction(multiplicity, 2 * multiplicity - 2, multiplicity)
+    fibre_coeff, e_coeff = 2 * multiplicity - 2, multiplicity
+    return {
+        "multiplicity": multiplicity,
+        "fibre_coeff": fibre_coeff,
+        "e_coeff": e_coeff,
+        "effective": fibre_coeff >= 0 and e_coeff >= 0,
+    }
 
 
 def minimal_effective_multiplicity() -> int:
     """Smallest m >= 0 with theta_restriction_class(m) effective (equals 1)."""
     m = 0
-    while not theta_restriction_class(m).effective:
+    while not theta_restriction_class(m)["effective"]:
         m += 1
     return m

@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
+from .polynomials import exact_rational
+
 #: Default word-size prime of ``RatMatrix.rank_mod``.
 DEFAULT_PRIME = 2**31 - 1
 
@@ -24,9 +26,11 @@ DEFAULT_PRIME = 2**31 - 1
 class RatMatrix:
     """Dense exact matrix stored as integer rows over positive multipliers.
 
-    Entry (i, j) is ``int_rows[i][j] / multipliers[i]``.  ``from_rows`` takes
-    each multiplier to be the lcm of its row's denominators, so equal entries
-    give equal matrices; integer rows are passed directly with multiplier 1.
+    Entry (i, j) is ``int_rows[i][j] / multipliers[i]``.  ``from_rows`` reads
+    each entry exactly (an int or a Fraction; anything else raises TypeError)
+    and takes each multiplier to be the lcm of its row's denominators, so
+    equal entries give equal matrices; integer rows are passed directly with
+    multiplier 1.
     """
 
     rows: int
@@ -47,7 +51,7 @@ class RatMatrix:
         int_rows = []
         multipliers = []
         for row in rows:
-            row = [Fraction(x) for x in row]
+            row = [exact_rational(x, "entry") for x in row]
             mult = lcm(*(x.denominator for x in row))
             int_rows.append(tuple(x.numerator * (mult // x.denominator) for x in row))
             multipliers.append(mult)

@@ -111,14 +111,10 @@ class S0Spec:
 
     g_a: MultiPoly
     g_b: MultiPoly
-    claimed_t1: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def __post_init__(self):
         if self.g_a.arity != 3 or self.g_b.arity != 3:
             raise ArityError("S0 chart equations live in 3 variables")
-        seen = set(self.claimed_t1)
-        if len(seen) != len(self.claimed_t1):
-            raise ValueError("claimed T1 points must be pairwise distinct")
 
     @cached_property
     def _on_r(self) -> tuple[MultiPoly, Fraction | None, MultiPoly, MultiPoly]:

@@ -229,6 +229,30 @@ def test_verdict_is_independent_of_line_order_and_scale(d, seed, verdict, failed
         assert _verdict_summary(rebuilt) == summary
 
 
+#: The integer change of coordinates x -> x + y (determinant 1).
+X_TO_X_PLUS_Y = [poly("x + y", P2), poly("y", P2), poly("z", P2)]
+
+
+def _changed_coordinates(w, change):
+    """The lines and phi2 of ``w`` composed with a change of (x, y, z)."""
+    return [line.compose(change) for line in w.arrangement.lines], w.phi2.compose(change)
+
+
+@pytest.mark.parametrize("d, seed", [(d, seed) for d in (3, 4, 5) for seed in range(3)])
+def test_verdict_is_independent_of_coordinates_and_psi_scale(d, seed):
+    """x -> x + y carries the surface to the same surface in new coordinates,
+    and scaling psi by 5/7 (which sends S_B to its tau = 1 chart route)
+    describes the same S_B, so either rebuilt witness gets the same verdict."""
+    w = build_witness(d, seed)
+    summary = _verdict_summary(w)
+    lines, phi2 = _changed_coordinates(w, X_TO_X_PLUS_Y)
+    assert _verdict_summary(build_witness(d, seed, lines=lines, phi2=phi2)) == summary
+    if d <= 4:
+        lines = list(w.arrangement.lines)
+        scaled = build_witness(d, seed, lines=lines, phi2=w.phi2, psi=w.psi * Fraction(5, 7))
+        assert _verdict_summary(scaled) == summary
+
+
 @pytest.mark.parametrize("d", range(3, 8))
 def test_built_witnesses_satisfy_the_structural_invariants(d):
     # build_witness does not re-check its own output; the structure stage does
@@ -471,6 +495,35 @@ def test_sa_off_chart_singularity_not_certified():
     assert certify_witness(_sa_off_chart()).verdict != "Certified"
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        [poly("x", P2), poly("y + x", P2), poly("z", P2)],
+        [poly("x", P2), poly("y", P2), poly("z + x", P2)],
+        [poly("y", P2), poly("x", P2), poly("z", P2)],
+    ],
+    ids=["y->y+x", "z->z+x", "x<->y"],
+)
+def test_sa_refutation_survives_a_change_of_coordinates(change):
+    w = build_witness(5, 615096)
+    lines, phi2 = _changed_coordinates(w, change)
+    assert _verdict_summary(build_witness(5, 615096, lines=lines, phi2=phi2)) == (
+        "Refuted", "smoothness", 6, None,
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP open item 1: x -> x + y moves the singular point [1:1:1] of "
+    "S_A to x = 0, off the blow-up chart x = 1 that S_A is certified on",
+)
+def test_sa_refutation_survives_x_to_x_plus_y():
+    lines, phi2 = _changed_coordinates(build_witness(5, 615096), X_TO_X_PLUS_Y)
+    rebuilt = build_witness(5, 615096, lines=lines, phi2=phi2)
+    assert not _sa_by_structure(rebuilt)
+    assert certify_witness(rebuilt).verdict == "Refuted"
+
+
 def test_coprimality_oracle_sees_a_common_factor():
     yz = ("y", "z")
     f = poly("y**3 + 3*y**2*z + 3*y*z**2 + z**3", yz)  # (y + z)**3
@@ -484,8 +537,8 @@ def test_coprimality_oracle_sees_a_common_factor():
 def test_central_fibre_t1_points():
     w = build_witness(4, 0, lines=TRIANGLE)
     spec = central_fibre(w)
-    assert len(spec.claimed_t1) == 3
-    for p in spec.claimed_t1:
+    assert len(w.chart_nodes()) == 3
+    for p in w.chart_nodes():
         assert certify_t1(spec, curve_double_point(spec.curve_a(), p)).kind == T1
 
 

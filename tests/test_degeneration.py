@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from nodal_degen.degeneration import (
     FIBRE,
-    DivisorClassF0,
     chow_f0_identities,
     deformation_slice,
+    f0_dot,
     hessian_limit_check,
     limit_hessian,
     minimal_effective_multiplicity,
     rational_sqrt,
+    render_f0,
     slice_chart,
     tangent_cone_prediction,
     theta_restriction_class,
@@ -220,21 +221,21 @@ def test_limit_hessian_guards_match_derivative_oracle():
 
 
 def test_intersection_form():
-    sigma = DivisorClassF0(1, 0)
-    assert sigma.dot(sigma) == 0
-    assert FIBRE.dot(FIBRE) == 0
-    assert sigma.dot(FIBRE) == 1
-    assert DivisorClassF0(-1, -1).self_intersection() == 2
+    sigma = (1, 0)
+    assert f0_dot(sigma, sigma) == 0
+    assert f0_dot(FIBRE, FIBRE) == 0
+    assert f0_dot(sigma, FIBRE) == 1
+    assert f0_dot((-1, -1), (-1, -1)) == 2
 
 
 def test_chow_identities():
     ids = chow_f0_identities()
-    assert ids.e == DivisorClassF0(-1, -1)
-    assert ids.theta_restriction == DivisorClassF0(-1, -1)
-    assert ids.second_exceptional_restriction == DivisorClassF0(1, -1)
-    assert FIBRE.dot(ids.e) == -1
-    assert ids.e.self_intersection() == 2
-    assert all(ids.checks().values())
+    assert ids["e"] == [-1, -1]
+    assert ids["theta_restriction"] == [-1, -1]
+    assert ids["second_exceptional_restriction"] == [1, -1]
+    assert f0_dot(FIBRE, ids["e"]) == -1
+    assert f0_dot(ids["e"], ids["e"]) == 2
+    assert all(ids["checks"].values())
 
 
 def test_chow_system_uniqueness():
@@ -243,20 +244,20 @@ def test_chow_system_uniqueness():
 
 
 def test_theta_restriction_classes():
-    assert (theta_restriction_class(0).fibre_coeff,
-            theta_restriction_class(0).e_coeff) == (-2, 0)
-    assert not theta_restriction_class(0).effective
+    zero = theta_restriction_class(0)
+    assert (zero["fibre_coeff"], zero["e_coeff"]) == (-2, 0)
+    assert not zero["effective"]
     one = theta_restriction_class(1)
-    assert (one.fibre_coeff, one.e_coeff) == (0, 1) and one.effective
+    assert (one["fibre_coeff"], one["e_coeff"]) == (0, 1) and one["effective"]
     two = theta_restriction_class(2)
-    assert (two.fibre_coeff, two.e_coeff) == (2, 2) and two.effective
+    assert (two["fibre_coeff"], two["e_coeff"]) == (2, 2) and two["effective"]
     assert minimal_effective_multiplicity() == 1
     with pytest.raises(ValueError):
         theta_restriction_class(-1)
 
 
 def test_divisor_rendering():
-    assert DivisorClassF0(-1, -1).render() == "-sigma - f"
-    assert DivisorClassF0(1, -1).render() == "sigma - f"
-    assert DivisorClassF0(0, 0).render() == "0"
-    assert DivisorClassF0(2, 3).render() == "2*sigma + 3*f"
+    assert render_f0((-1, -1)) == "-sigma - f"
+    assert render_f0((1, -1)) == "sigma - f"
+    assert render_f0((0, 0)) == "0"
+    assert render_f0((2, 3)) == "2*sigma + 3*f"

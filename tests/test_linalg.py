@@ -27,6 +27,13 @@ def test_det_requires_square():
         RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]]).det()
 
 
+@pytest.mark.parametrize("entry", [0.1, "1/3", True])
+def test_entries_must_be_exact(entry):
+    # a float, a string or a bool is never read as a rational
+    with pytest.raises(TypeError):
+        RatMatrix.from_rows([[1, entry]])
+
+
 def test_rational_entries():
     m = RatMatrix.from_rows(
         [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]

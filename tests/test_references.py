@@ -1,7 +1,8 @@
-"""Every top-level function, class and module constant of the package is
-named somewhere other than its own definition, in the package or the
-benchmark; a name that nothing but the tests refers to is dead code to
-delete.  Every name a module of the package imports is used in that module."""
+"""Every top-level function, class and module constant of the package, and
+every method and property (dunders aside) of its classes, is named somewhere
+other than its own definition, in the package or the benchmark; a name that
+nothing but the tests refers to is dead code to delete.  Every name a module
+of the package imports is used in that module."""
 
 import ast
 import re
@@ -22,7 +23,20 @@ def _definitions(tree: ast.Module):
                     yield target.id, node
 
 
-def test_every_top_level_name_is_referenced():
+def _methods(tree: ast.Module):
+    """Every method and property of a top-level class, dunder methods aside."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    yield node.name, node
+
+
+def _unreferenced(definitions) -> list[str]:
+    """Each definition whose name no source in ``src`` or ``perfbench`` names
+    outside the lines of that definition."""
     sources = {
         path: path.read_text()
         for folder in ("src", "perfbench")
@@ -31,12 +45,20 @@ def test_every_top_level_name_is_referenced():
     unreferenced = []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = sources[path].splitlines()
-        for name, node in _definitions(ast.parse(sources[path])):
+        for name, node in definitions(ast.parse(sources[path])):
             outside = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
             word = re.compile(rf"\b{re.escape(name)}\b")
             if not any(word.search(outside if p == path else s) for p, s in sources.items()):
                 unreferenced.append(f"{path.name}:{node.lineno} {name}")
-    assert unreferenced == []
+    return unreferenced
+
+
+def test_every_top_level_name_is_referenced():
+    assert _unreferenced(_definitions) == []
+
+
+def test_every_method_and_property_is_referenced():
+    assert _unreferenced(_methods) == []
 
 
 def _imports(tree: ast.Module):

@@ -302,8 +302,9 @@ def test_t1_agrees_with_gradient_polynomials(case):
 def test_t1_agrees_with_gradient_polynomials_on_witnesses():
     for d in (3, 4, 5):
         for seed in range(5):
-            spec = central_fibre(build_witness(d, seed))
-            for p in spec.claimed_t1:
+            w = build_witness(d, seed)
+            spec = central_fibre(w)
+            for p in w.chart_nodes():
                 assert _assert_t1_routes_agree(spec, p).kind == T1, (d, seed, p)
 
 
