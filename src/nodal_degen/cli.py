@@ -205,10 +205,10 @@ def cmd_regularity(args) -> tuple[dict, str, str]:
     spec = SystemSpec.from_json(_load_json(args.system))
     points = parse_points(_load_json(args.points))
     try:
-        cm = condition_matrix(spec, points)
+        matrix = condition_matrix(spec, points)
     except (ValueError, PointNotOnSurface) as exc:
         raise _fail(EXIT_DATA, f"regularity: {exc}")
-    report = independence_rank(cm)
+    report = independence_rank(spec, matrix)
     text = (
         f"rank {report.rank} of {report.delta} conditions; "
         f"regular: {report.regular}; tangent dim {report.tangent_dim}"

@@ -496,7 +496,7 @@ def certify_witness(
     def regularity() -> tuple[str, str]:
         nonlocal rank
         system = SystemSpec("p2", witness.d - 1)
-        report = independence_rank(condition_matrix(system, witness.arrangement.nodes))
+        report = independence_rank(system, condition_matrix(system, witness.arrangement.nodes))
         rank = report.rank
         if not report.regular:
             return (

@@ -144,28 +144,17 @@ def primitive_integer_point(point: Sequence[Fraction]) -> list[int]:
     return [v // g for v in ints]
 
 
-@dataclass(frozen=True)
-class ConditionMatrix:
+def condition_matrix(spec: SystemSpec, points: Sequence[Sequence]) -> RatMatrix:
     """Evaluation matrix of the system's monomial basis at a node set.
 
     Row i is the basis evaluated at the primitive integer representative of
-    ``points[i]``: a primitive integer row, a positive multiple of the
-    basis values at the canonical point.  The rows enter the matrix as they
-    are, with multiplier 1, so the rank routines eliminate on them directly.
-    """
-
-    system: SystemSpec
-    points: tuple[tuple[Fraction, ...], ...]
-    matrix: RatMatrix
-
-
-def condition_matrix(spec: SystemSpec, points: Sequence[Sequence]) -> ConditionMatrix:
-    """Build the point-conditions matrix (one row per canonicalized point).
+    the i-th canonicalized point: a primitive integer row, a positive
+    multiple of the basis values at the canonical point.  The rows enter the
+    matrix as they are, with multiplier 1, so the rank routines eliminate on
+    them directly.
 
     Points must be pairwise distinct after canonical scaling; for ci4 systems
     carrying a membership surface, every point must lie on that surface.
-    Entries are integers: products of the coordinate powers of each point's
-    primitive integer representative.
     """
     pts = [canonical_point(p) for p in points]
     arity = spec.ambient_arity
@@ -195,8 +184,7 @@ def condition_matrix(spec: SystemSpec, points: Sequence[Sequence]) -> ConditionM
         for table, column in zip(powers[1:], rest):
             row = [v * table[k] for v, k in zip(row, column)]
         rows.append(tuple(row))
-    matrix = RatMatrix(len(rows), len(basis), tuple(rows), (1,) * len(rows))
-    return ConditionMatrix(spec, tuple(pts), matrix)
+    return RatMatrix(len(rows), len(basis), tuple(rows), (1,) * len(rows))
 
 
 @dataclass(frozen=True)
@@ -219,23 +207,23 @@ class IndependenceReport:
         }
 
 
-def independence_rank(cm: ConditionMatrix) -> IndependenceReport:
-    """Rank of the condition matrix; regular means rank equals the node count.
+def independence_rank(spec: SystemSpec, matrix: RatMatrix) -> IndependenceReport:
+    """Rank of a condition matrix of ``spec``; regular means rank equals the
+    node count, one node per row.
 
     The rank is certified by rational elimination.  The rank modulo a prime
     is reported as ``modular_rank``; it can only drop below the rational
     rank, never exceed it, so a larger value is an internal fault.
     """
-    modular = cm.matrix.rank_mod()
-    rank = cm.matrix.rank()
+    modular = matrix.rank_mod()
+    rank = matrix.rank()
     if modular > rank:
         raise ToolkitError("modular rank exceeded the rational rank")
-    delta = len(cm.points)
     return IndependenceReport(
         rank=rank,
-        regular=rank == delta,
-        tangent_dim=linear_system_dim(cm.system) - rank,
-        delta=delta,
+        regular=rank == matrix.rows,
+        tangent_dim=linear_system_dim(spec) - rank,
+        delta=matrix.rows,
         modular_rank=modular,
     )
 

@@ -13,7 +13,8 @@ restricted ci4 system by the rank of a multiplication map, the general
 position of a line arrangement by pairwise ratios and triple determinants,
 the coprimality of two polynomials in two variables by specialisation
 and univariate Euclid, the smoothness of S_A read from phi2 on the lines
-and nodes of the arrangement, and the rational-literal parser as a regular
+and nodes of the arrangement and, for small d, by the general exclusion on
+charts that cover the blow-up, and the rational-literal parser as a regular
 expression followed by ``Fraction``."""
 
 from __future__ import annotations
@@ -36,7 +37,14 @@ from nodal_degen.polynomials import (
     parse_rational,
 )
 from nodal_degen.severi import canonical_point, choose
-from nodal_degen.singularities import REFUTED, T1, S0Spec, SingularityReport
+from nodal_degen.singularities import (
+    CERTIFIED,
+    REFUTED,
+    T1,
+    S0Spec,
+    SingularityReport,
+    exclude_extra_singularities,
+)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -622,3 +630,19 @@ def _int_cross(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
+
+
+def sa_smooth_by_general_route(witness) -> bool:
+    """Whether S_A is smooth, by the general exclusion on four charts of the
+    blow-up of P3 at p = [0:0:0:1]: the blow-up chart x = 1 and the affine
+    charts x = 1, y = 1, z = 1 of ``w*phi1 + phi2``.
+
+    The affine charts cover P3 minus p, where S_A is the surface itself.
+    The blow-up chart covers the exceptional plane except x = 0; a point of
+    S_A there lies on exactly one line of the arrangement (every node has
+    x != 0), where S_A is smooth.  Each chart is a Groebner run with no
+    budget, so keep this to d <= 4.
+    """
+    charts = [witness.blowup_chart_a]
+    charts += [witness.projective_equation.dehomogenize(i) for i in range(3)]
+    return all(exclude_extra_singularities(chart, []).status == CERTIFIED for chart in charts)

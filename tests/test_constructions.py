@@ -27,6 +27,7 @@ from oracles import (
     certify_t1_by_gradients,
     coprime_by_specialisation,
     poly,
+    sa_smooth_by_general_route,
     sa_smooth_by_structure,
 )
 from nodal_degen.singularities import (
@@ -463,6 +464,15 @@ def _sa_off_chart() -> constructions.SurfaceWitness:
     return build_witness(4, 0, lines=BOUNDED_TRIANGLE, phi2=phi2)
 
 
+def _sa_at_infinity() -> constructions.SurfaceWitness:
+    """On the line y = 0, phi2 = (z - 2x)**2*(x**2 + z**2) has a double root
+    at [1:0:2], so w*phi1 + phi2 has zero value and gradient at
+    [x:y:z:w] = [1:0:2:0], in the plane w = 0 that the blow-up chart misses."""
+    x, y, z = (MultiPoly.variable(3, i) for i in range(3))
+    phi2 = y * ((z - 2 * x) * x**2 + y**3) + (z - 2 * x) ** 2 * (x**2 + z**2)
+    return build_witness(4, 0, lines=BOUNDED_TRIANGLE, phi2=phi2)
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_sa_structure_agrees_with_the_chart_route(d):
     for seed in range(3):
@@ -493,6 +503,37 @@ def test_sa_structure_refutes_the_off_chart_singularity():
 )
 def test_sa_off_chart_singularity_not_certified():
     assert certify_witness(_sa_off_chart()).verdict != "Certified"
+
+
+def test_sa_structure_refutes_the_singularity_at_infinity():
+    w = _sa_at_infinity()
+    f, point = w.projective_equation, (1, 0, 2, 0)
+    assert f.eval_at(point) == 0
+    assert not any(g.eval_at(point) for g in f.gradient())
+    assert not _sa_by_structure(w)
+    # the chart route cannot see the point
+    assert exclude_extra_singularities(w.blowup_chart_a, []).status == CERTIFIED
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP open item 1: S_A is certified on its blow-up chart only, "
+    "which lies in w = 1 and misses the singular point [1:0:2:0]",
+)
+def test_sa_singularity_at_infinity_not_certified():
+    assert certify_witness(_sa_at_infinity()).verdict != "Certified"
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_sa_general_route_agrees_with_the_structure(d):
+    for seed in range(3):
+        w = build_witness(d, seed)
+        assert sa_smooth_by_general_route(w) == _sa_by_structure(w)
+
+
+def test_sa_general_route_refutes_both_off_chart_singularities():
+    assert not sa_smooth_by_general_route(_sa_off_chart())
+    assert not sa_smooth_by_general_route(_sa_at_infinity())
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@
 every method and property (dunders aside) of its classes, is named somewhere
 other than its own definition, in the package or the benchmark; a name that
 nothing but the tests refers to is dead code to delete.  Every name a module
-of the package imports is used in that module."""
+of the package imports is used in that module.  Every parameter of a
+function or method of the package is read in its body, dunder methods and
+the ``cmd_*`` handlers (which share one ``args`` signature) aside."""
 
 import ast
 import re
@@ -78,3 +80,27 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in _imports(tree) if name not in used]
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    ignored = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("cmd_") or (name.startswith("__") and name.endswith("__")):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [p for p in (args.vararg, args.kwarg) if p is not None]
+            read = {
+                n.id
+                for statement in node.body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            ignored += [
+                f"{path.name}:{node.lineno} {name}({p.arg})" for p in params if p.arg not in read
+            ]
+    assert ignored == []

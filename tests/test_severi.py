@@ -95,20 +95,23 @@ def test_spec_validation():
 
 
 def test_three_general_points_vs_lines():
-    cm = condition_matrix(SystemSpec("p2", 1), [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
-    r = independence_rank(cm)
+    spec = SystemSpec("p2", 1)
+    matrix = condition_matrix(spec, [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
+    r = independence_rank(spec, matrix)
     assert r.rank == 3 and r.regular
 
 
 def test_collinear_points_vs_lines():
-    cm = condition_matrix(SystemSpec("p2", 1), [(0, 0, 1), (0, 1, 1), (0, 1, 2)])
-    r = independence_rank(cm)
+    spec = SystemSpec("p2", 1)
+    matrix = condition_matrix(spec, [(0, 0, 1), (0, 1, 1), (0, 1, 2)])
+    r = independence_rank(spec, matrix)
     assert r.rank == 2 and not r.regular
 
 
 def test_triangle_nodes_vs_cubics():
-    cm = condition_matrix(SystemSpec("p2", 3), [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
-    r = independence_rank(cm)
+    spec = SystemSpec("p2", 3)
+    matrix = condition_matrix(spec, [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
+    r = independence_rank(spec, matrix)
     assert (r.rank, r.regular, r.tangent_dim) == (3, True, 6)
 
 
@@ -118,14 +121,15 @@ def test_large_arrangement_nodes_are_regular(d):
     # degree >= k - 2 (induction on k with the residual sequence), so the
     # nodes of d - 1 general lines have full rank against degree d - 1
     nodes = build_witness(d, d).arrangement.nodes
-    r = independence_rank(condition_matrix(SystemSpec("p2", d - 1), nodes))
+    spec = SystemSpec("p2", d - 1)
+    r = independence_rank(spec, condition_matrix(spec, nodes))
     assert (r.rank, r.regular) == (choose(d - 1, 2), True)
 
 
 def test_regular_means_expected_codimension():
     points = [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1)]
     spec = SystemSpec("p3", 2)
-    r = independence_rank(condition_matrix(spec, points))
+    r = independence_rank(spec, condition_matrix(spec, points))
     assert r.regular
     assert r.tangent_dim == linear_system_dim(spec) - r.delta
 
@@ -153,7 +157,8 @@ def test_condition_matrix_messages_are_readable():
 
 
 def test_empty_node_set_is_vacuously_regular():
-    r = independence_rank(condition_matrix(SystemSpec("p2", 2), []))
+    spec = SystemSpec("p2", 2)
+    r = independence_rank(spec, condition_matrix(spec, []))
     assert r.rank == 0 and r.regular and r.delta == 0
 
 
@@ -162,17 +167,17 @@ def test_empty_node_set_is_vacuously_regular():
 def test_rank_invariances(data):
     points = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
     spec = SystemSpec("p2", 2)
-    base = independence_rank(condition_matrix(spec, points))
+    base = independence_rank(spec, condition_matrix(spec, points))
     # rescaling homogeneous coordinates
     scales = [
         Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
         for _ in points
     ]
     rescaled = [tuple(s * x for x in p) for s, p in zip(scales, points)]
-    r1 = independence_rank(condition_matrix(spec, rescaled))
+    r1 = independence_rank(spec, condition_matrix(spec, rescaled))
     # permuting the list
     perm = data.draw(st.permutations(points))
-    r2 = independence_rank(condition_matrix(spec, list(perm)))
+    r2 = independence_rank(spec, condition_matrix(spec, list(perm)))
     assert (r1.rank, r1.regular) == (base.rank, base.regular)
     assert (r2.rank, r2.regular) == (base.rank, base.regular)
 
@@ -186,13 +191,14 @@ def _primitive_rescaling(row: list[Fraction]) -> tuple[int, ...]:
 
 
 def _assert_rows_match_fraction_oracle(spec: SystemSpec, points):
-    cm = condition_matrix(spec, points)
-    fraction_rows = condition_rows_by_fractions(spec.monomial_basis(), cm.points)
+    matrix = condition_matrix(spec, points)
+    canonical = [canonical_point(p) for p in points]
+    fraction_rows = condition_rows_by_fractions(spec.monomial_basis(), canonical)
     oracle = RatMatrix.from_rows(fraction_rows)
     primitive = tuple(_primitive_rescaling(row) for row in fraction_rows)
-    assert cm.matrix.int_rows == primitive
-    assert cm.matrix.multipliers == (1,) * len(primitive)
-    report = independence_rank(cm)
+    assert matrix.int_rows == primitive
+    assert matrix.multipliers == (1,) * len(primitive)
+    report = independence_rank(spec, matrix)
     assert report.rank == oracle.rank()
     assert report.modular_rank == oracle.rank_mod()
     return report
