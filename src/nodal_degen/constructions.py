@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .errors import DataFormatError, GenericityError, GluingError, PointNotOnSurface
@@ -27,7 +28,6 @@ from .polynomials import (
 from .severi import (
     SystemSpec,
     canonical_point,
-    choose,
     condition_matrix,
     independence_rank,
     linear_system_dim,
@@ -148,7 +148,7 @@ class SurfaceWitness:
 
     @property
     def delta(self) -> int:
-        return choose(self.d - 1, 2)
+        return comb(self.d - 1, 2)
 
     def chart_nodes(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Arrangement nodes in the affine coordinates of the double locus."""

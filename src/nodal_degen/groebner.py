@@ -113,8 +113,6 @@ def _from_multipoly(p: MultiPoly, pk: _Packing) -> _IntPoly:
 
 
 def _to_multipoly(f: _IntPoly, pk: _Packing) -> MultiPoly:
-    if not f:
-        return MultiPoly.zero(pk.arity)
     lc = int(f[max(f)])
     return MultiPoly._trusted(
         pk.arity, {pk.unpack(e): Fraction(int(c), lc) for e, c in f.items()}

@@ -25,6 +25,7 @@ and checks nothing else.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Iterator, Mapping, Sequence
 
@@ -90,7 +91,7 @@ def grlex_key(exps: Monomial) -> tuple[int, Monomial]:
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("arity", "_terms", "_hash")
+    __slots__ = ("arity", "_terms")
 
     def __init__(self, arity: int, terms: Mapping[Monomial, Fraction] | None = None):
         if arity < 0:
@@ -110,7 +111,6 @@ class MultiPoly:
                 clean[exps] = coeff
         _set(self, "arity", arity)
         _set(self, "_terms", clean)
-        _set(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, arity: int, terms: Mapping[Monomial, Fraction]) -> "MultiPoly":
@@ -118,7 +118,6 @@ class MultiPoly:
         p = object.__new__(cls)
         _set(p, "arity", arity)
         _set(p, "_terms", {e: c for e, c in terms.items() if c})
-        _set(p, "_hash", None)
         return p
 
     def __setattr__(self, name, value):
@@ -246,11 +245,7 @@ class MultiPoly:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.arity, tuple(sorted(self._terms.items()))))
-            _set(self, "_hash", h)
-        return h
+        return hash((self.arity, frozenset(self._terms.items())))
 
     # ---------------------------------------------------------------- calculus
 
@@ -514,21 +509,13 @@ class MultiPoly:
 
 
 def monomials_of_degree(arity: int, degree: int) -> Iterator[Monomial]:
-    """All exponent tuples of the given total degree, descending graded-lex."""
+    """All exponent tuples of the given total degree, descending graded-lex:
+    each sorted choice of ``degree`` variable indices, in lexicographic
+    order, counted into an exponent tuple."""
     if degree < 0:
         return
-    if arity == 0:
-        if degree == 0:
-            yield ()
-        return
-
-    def rec(remaining_vars: int, remaining_deg: int) -> Iterator[Monomial]:
-        if remaining_vars == 1:
-            yield (remaining_deg,)
-            return
-        for first in range(remaining_deg, -1, -1):
-            for rest in rec(remaining_vars - 1, remaining_deg - first):
-                yield (first,) + rest
-
-    yield from rec(arity, degree)
-
+    for choice in combinations_with_replacement(range(arity), degree):
+        exps = [0] * arity
+        for i in choice:
+            exps[i] += 1
+        yield tuple(exps)

@@ -32,13 +32,6 @@ from .polynomials import (
 SPACES = ("p2", "p3", "ci4")
 
 
-def choose(n: int, k: int) -> int:
-    """Binomial coefficient with C(n, k) = 0 whenever n < k or k < 0."""
-    if k < 0 or n < k:
-        return 0
-    return comb(n, k)
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """A linear system of divisors, identified by ambient space and degree."""
@@ -92,16 +85,16 @@ class SystemSpec:
 def linear_system_dim(spec: SystemSpec) -> int:
     """Projective dimension of the system.
 
-    For the restricted ci4 case this is C(d+3,3) - C(d-h+1,3) - 1 with the
-    convention C(n,3) = 0 for n < 3, matching the bound arithmetic the
-    toolkit certifies; the tests cross-check it against the rank of the
-    multiplication map by a form of degree h + 2.
+    For the restricted ci4 case this is C(d+3,3) - C(d-h+1,3) - 1, where
+    C(n,3) = 0 for 0 <= n < 3 (d >= h - 1 keeps n >= 0), matching the bound
+    arithmetic the toolkit certifies; the tests cross-check it against the
+    rank of the multiplication map by a form of degree h + 2.
     """
     if spec.space == "p2":
-        return choose(spec.d + 2, 2) - 1
+        return comb(spec.d + 2, 2) - 1
     if spec.space == "p3":
-        return choose(spec.d + 3, 3) - 1
-    return choose(spec.d + 3, 3) - choose(spec.d - spec.h + 1, 3) - 1
+        return comb(spec.d + 3, 3) - 1
+    return comb(spec.d + 3, 3) - comb(spec.d - spec.h + 1, 3) - 1
 
 
 def max_regular_delta(spec: SystemSpec) -> int:
@@ -109,7 +102,7 @@ def max_regular_delta(spec: SystemSpec) -> int:
     if spec.space == "p3":
         if spec.d < 2:
             raise ValueError("the surface bound needs d >= 2")
-        return choose(spec.d - 1, 2)
+        return comb(spec.d - 1, 2)
     if spec.space == "ci4":
         return linear_system_dim(spec)
     raise ValueError("no regular-delta bound is defined for p2 systems")

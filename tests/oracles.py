@@ -14,18 +14,28 @@ position of a line arrangement by pairwise ratios and triple determinants,
 the coprimality of two polynomials in two variables by specialisation
 and univariate Euclid, the smoothness of S_A read from phi2 on the lines
 and nodes of the arrangement and, for small d, by the general exclusion on
-charts that cover the blow-up, and the rational-literal parser as a regular
-expression followed by ``Fraction``."""
+charts that cover the blow-up, the rational-literal parser as a regular
+expression followed by ``Fraction``, and seeded planters of witnesses that
+break one hypothesis of the certificate chain: an exact singular point of
+S_A of a chosen kind, a concurrent triple, a moved node, or a psi that
+vanishes at a node."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isqrt, lcm
+from math import comb, isqrt, lcm, prod
 from typing import Sequence
 
+from nodal_degen.constructions import (
+    LineArrangement,
+    SurfaceWitness,
+    _derived_equations,
+    build_witness,
+)
 from nodal_degen.errors import DataFormatError, GluingError, PointNotOnSurface
 from nodal_degen.linalg import RatMatrix
 from nodal_degen.polynomials import (
@@ -36,7 +46,7 @@ from nodal_degen.polynomials import (
     monomials_of_degree,
     parse_rational,
 )
-from nodal_degen.severi import canonical_point, choose
+from nodal_degen.severi import canonical_point
 from nodal_degen.singularities import (
     CERTIFIED,
     REFUTED,
@@ -45,6 +55,8 @@ from nodal_degen.singularities import (
     SingularityReport,
     exclude_extra_singularities,
 )
+
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -489,7 +501,7 @@ def restricted_dim_oracle(
     if not domain:
         if multiplier is not None and multiplier.is_zero():
             raise ValueError("degenerate multiplier: zero polynomial")
-        return choose(d + 3, 3) - 1
+        return comb(d + 3, 3) - 1
     if multiplier is None:
         rng = random.Random(seed)
         while True:
@@ -513,7 +525,7 @@ def restricted_dim_oracle(
             row[target[mono]] = c
         rows.append(row)
     rank = RatMatrix.from_rows(rows).rank()
-    return choose(d + 3, 3) - rank - 1
+    return comb(d + 3, 3) - rank - 1
 
 
 def arrangement_nodes_by_determinants(lines: Sequence[MultiPoly]) -> tuple:
@@ -608,11 +620,8 @@ def sa_smooth_by_structure(phi2: MultiPoly, lines: Sequence[MultiPoly], nodes) -
         return False
     d = phi2.degree()
     s, t = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for line in lines:
-        a = _integer_multiple([line.coefficient(e) for e in units])
-        on_line = [c for c in (_int_cross(a, u) for u in units) if any(c)]
-        p, q = next((p, q) for p, q in combinations(on_line, 2) if any(_int_cross(p, q)))
+        p, q = _spanning_points(line)
         g = phi2.compose([p[i] * s + q[i] * t for i in range(3)])
         f = [g.coefficient((k, d - k)) for k in range(d + 1)]
         while f and f[-1] == 0:
@@ -632,6 +641,18 @@ def _int_cross(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
     )
 
 
+def _line_ints(line: MultiPoly) -> list[int]:
+    """Integer coefficients of a linear form in (x, y, z)."""
+    return _integer_multiple([line.coefficient(e) for e in _UNITS])
+
+
+def _spanning_points(line: MultiPoly) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Two integer points that span a line of P2."""
+    a = _line_ints(line)
+    on_line = [c for c in (_int_cross(a, u) for u in _UNITS) if any(c)]
+    return next((p, q) for p, q in combinations(on_line, 2) if any(_int_cross(p, q)))
+
+
 def sa_smooth_by_general_route(witness) -> bool:
     """Whether S_A is smooth, by the general exclusion on four charts of the
     blow-up of P3 at p = [0:0:0:1]: the blow-up chart x = 1 and the affine
@@ -646,3 +667,148 @@ def sa_smooth_by_general_route(witness) -> bool:
     charts = [witness.blowup_chart_a]
     charts += [witness.projective_equation.dehomogenize(i) for i in range(3)]
     return all(exclude_extra_singularities(chart, []).status == CERTIFIED for chart in charts)
+
+
+#: Kinds of singular point of S_A that ``plant_sa_singularity`` plants: on
+#: the blow-up chart x = 1, at x = 0, and in the plane w = 0.
+PLANT_KINDS = ("chart", "x=0", "w=0")
+#: Draws a planter makes before it gives up.
+PLANT_BUDGET = 16
+
+
+def _random_form(rng: random.Random, degree: int) -> MultiPoly:
+    return MultiPoly(3, {e: Fraction(rng.randint(-9, 9)) for e in monomials_of_degree(3, degree)})
+
+
+def _linear_form(coeffs: Sequence[int]) -> MultiPoly:
+    return MultiPoly(3, dict(zip(_UNITS, coeffs)))
+
+
+def _random_vector(rng: random.Random) -> list[int]:
+    return [rng.randint(-9, 9) for _ in range(3)]
+
+
+def plant_sa_singularity(
+    d: int, seed: int, kind: str, budget: int = PLANT_BUDGET
+) -> tuple[SurfaceWitness, tuple[Fraction, ...]]:
+    """The lines of ``build_witness(d, seed)`` with a new phi2 that makes S_A
+    singular at a point of the given kind, and that point [x:y:z:w] of
+    ``w*phi1 + phi2``.
+
+    A line L of the arrangement and a point q of L that is no node are
+    drawn: the point of L with x = 0 for kind "x=0", else a point with
+    x != 0.  For "chart" and "x=0", phi2 = m**2*a + L*b with m a linear form
+    through q other than L: phi2 on L has a double root at q, and
+    ``w*phi1 + phi2`` has value 0 and gradient w*P(q)*grad L + b(q)*grad L
+    at [q : w], P the product of the other lines, which vanishes at
+    w = -b(q)/P(q); a draw with b(q) = 0 is redrawn, so that w != 0.  For
+    "w=0", phi2 = m1**2*a + m1*m2*b + m2**2*c with independent forms m1, m2
+    through q, so phi2 vanishes to order 2 at q and the point is [q : 0].
+    a, b and c are random forms.  A draw in which phi2 vanishes at a node
+    is redrawn too; after ``budget`` draws, ValueError.
+    """
+    if kind not in PLANT_KINDS:
+        raise ValueError(f"kind must be one of {PLANT_KINDS}, got {kind!r}")
+    arrangement = build_witness(d, seed).arrangement
+    lines, nodes = arrangement.lines, arrangement.nodes
+    rng = random.Random(f"{kind} {d} {seed}")
+    for _ in range(budget):
+        i = rng.randrange(len(lines))
+        a = _line_ints(lines[i])
+        if kind == "x=0":
+            q = _int_cross(a, (1, 0, 0))
+        else:
+            p, r = _spanning_points(lines[i])
+            s, t = rng.randint(-9, 9), rng.randint(-9, 9)
+            q = tuple(s * x + t * y for x, y in zip(p, r))
+        others = prod(line.eval_at(q) for j, line in enumerate(lines) if j != i)
+        if (q[0] == 0) != (kind == "x=0") or others == 0:
+            continue  # the wrong kind of point, or a node
+        m1, m2 = (_int_cross(q, _random_vector(rng)) for _ in range(2))
+        if kind == "w=0":
+            if not any(_int_cross(m1, m2)):
+                continue
+            f1, f2 = _linear_form(m1), _linear_form(m2)
+            phi2 = sum(
+                (f * g * _random_form(rng, d - 2) for f, g in ((f1, f1), (f1, f2), (f2, f2))),
+                MultiPoly.zero(3),
+            )
+            w = Fraction(0)
+        else:
+            if not any(_int_cross(m1, a)):
+                continue
+            b = _random_form(rng, d - 1)
+            phi2 = _linear_form(m1) ** 2 * _random_form(rng, d - 2) + lines[i] * b
+            w = -b.eval_at(q) / others
+            if w == 0:
+                continue
+        if phi2.is_zero() or any(phi2.eval_at(n) == 0 for n in nodes):
+            continue
+        point = tuple(Fraction(x) for x in q) + (w,)
+        return build_witness(d, seed, lines=lines, phi2=phi2), point
+    raise ValueError(f"no {kind} singularity planted for d={d}, seed={seed} in {budget} draws")
+
+
+#: Stages at which ``plant_hypothesis_failure`` makes the chain fail.
+PLANTED_STAGES = ("structure", "nodes", "t1")
+
+
+def plant_hypothesis_failure(
+    stage: str, d: int, seed: int, budget: int = PLANT_BUDGET
+) -> SurfaceWitness:
+    """``build_witness(d, seed)`` with one hypothesis of the certificate
+    chain broken in memory, so that the chain refutes it at ``stage``:
+
+    - "structure": a line replaced by a random line through the node of two
+      others (d >= 4), a concurrent triple whose claimed nodes, one per pair
+      of lines, are not pairwise distinct;
+    - "nodes": a random node moved by 1 in y, off the curve C;
+    - "t1": psi minus psi(n, 0)*(l/l(n))**(d-2) for a random node n and a
+      random linear form l with l(n) != 0, so psi(n, 0) = 0 and S_B is
+      singular at n.
+
+    Random draws that do not break the hypothesis are redrawn, at most
+    ``budget`` times; then ValueError.
+    """
+    if stage not in PLANTED_STAGES:
+        raise ValueError(f"stage must be one of {PLANTED_STAGES}, got {stage!r}")
+    w = build_witness(d, seed)
+    lines, nodes = list(w.arrangement.lines), list(w.arrangement.nodes)
+    rng = random.Random(f"{stage} {d} {seed}")
+    if stage == "nodes":
+        k = rng.randrange(len(nodes))
+        x, y, z = nodes[k]
+        nodes[k] = (x, y + 1, z)
+        return dataclasses.replace(w, arrangement=LineArrangement(tuple(lines), tuple(nodes)))
+    for _ in range(budget):
+        if stage == "t1":
+            node = rng.choice(nodes)
+            ell = _linear_form(_random_vector(rng))
+            if ell.eval_at(node) == 0:
+                continue
+            scale = w.psi.eval_at(node + (0,)) / ell.eval_at(node) ** (d - 2)
+            psi = w.psi - (ell ** (d - 2) * scale).extend(1)
+            sb = w.phi1.extend(1) + MultiPoly.variable(4, 3) * psi
+            return dataclasses.replace(w, psi=psi, sb_equation=sb)
+        i, j, k = rng.sample(range(len(lines)), 3)
+        coeffs = [_line_ints(line) for line in lines]
+        node = _int_cross(coeffs[i], coeffs[j])
+        coeffs[k] = list(_int_cross(node, _random_vector(rng)))
+        if not all(any(_int_cross(a, b)) for a, b in combinations(coeffs, 2)):
+            continue  # a zero form, or two proportional lines
+        lines = [_linear_form(a) for a in coeffs]
+        arrangement = LineArrangement(
+            tuple(lines),
+            tuple(canonical_point(_int_cross(a, b)) for a, b in combinations(coeffs, 2)),
+        )
+        phi1 = arrangement.product()
+        projective, chart = _derived_equations(phi1, w.phi2)
+        return dataclasses.replace(
+            w,
+            arrangement=arrangement,
+            phi1=phi1,
+            projective_equation=projective,
+            blowup_chart_a=chart,
+            sb_equation=phi1.extend(1) + MultiPoly.variable(4, 3) * w.psi,
+        )
+    raise ValueError(f"no {stage} failure planted for d={d}, seed={seed} in {budget} draws")

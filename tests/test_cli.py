@@ -45,6 +45,17 @@ def test_construct_then_certify(tmp_path):
     assert "Certified" in text
 
 
+@pytest.mark.parametrize("seed", [1, 4])
+def test_construct_exits_2_when_the_draw_fails(tmp_path, capsys, seed):
+    out = tmp_path / "w.json"
+    code, text = run(["construct", "--d", "18", "--seed", str(seed), "--out", str(out)])
+    assert (code, text, out.exists()) == (2, "", False)
+    assert capsys.readouterr().err == (
+        "construct: could not draw 17 general lines with a common node chart "
+        "within budget 32\n"
+    )
+
+
 def test_certify_json_schema(tmp_path):
     out = tmp_path / "w.json"
     run(["construct", "--d", "3", "--seed", "1", "--out", str(out)])

@@ -21,11 +21,15 @@ from nodal_degen.constructions import (
     witness_to_json,
 )
 from nodal_degen.errors import DataFormatError, GenericityError, GluingError
-from nodal_degen.polynomials import MultiPoly
+from nodal_degen.polynomials import MultiPoly, format_point
 from oracles import (
+    PLANT_KINDS,
+    PLANTED_STAGES,
     arrangement_nodes_by_determinants,
     certify_t1_by_gradients,
     coprime_by_specialisation,
+    plant_hypothesis_failure,
+    plant_sa_singularity,
     poly,
     sa_smooth_by_general_route,
     sa_smooth_by_structure,
@@ -524,6 +528,33 @@ def test_sa_singularity_at_infinity_not_certified():
     assert certify_witness(_sa_at_infinity()).verdict != "Certified"
 
 
+def test_sa_structure_refutes_a_default_witness():
+    """build_witness(5, 131466), drawn with no overrides: on the line
+    9x + y = 0, phi2 has a double root at x = 0, so w*phi1 + phi2 has zero
+    value and gradient at [x:y:z:w] = [0:0:1:-1/18], off the blow-up chart."""
+    w = build_witness(5, 131466)
+    f, point = w.projective_equation, (0, 0, 1, Fraction(-1, 18))
+    assert f.eval_at(point) == 0
+    assert not any(g.eval_at(point) for g in f.gradient())
+    assert w.arrangement.lines[0] == poly("9*x + y", P2)
+    s, t = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    on_line = w.phi2.compose([s, -9 * s, t])  # (x, y, z) = (s, -9s, t)
+    assert on_line.coefficient((0, 5)) == on_line.coefficient((1, 4)) == 0
+    assert on_line.coefficient((2, 3)) != 0
+    assert not _sa_by_structure(w)
+    # the chart route cannot see the point
+    assert exclude_extra_singularities(w.blowup_chart_a, []).status == CERTIFIED
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP open item 1: S_A of the default witness d=5, seed 131466 is "
+    "singular at [0:0:1:-1/18], where x = 0, off the blow-up chart x = 1",
+)
+def test_sa_singularity_of_a_default_witness_not_certified():
+    assert certify_witness(build_witness(5, 131466)).verdict != "Certified"
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_sa_general_route_agrees_with_the_structure(d):
     for seed in range(3):
@@ -563,6 +594,70 @@ def test_sa_refutation_survives_x_to_x_plus_y():
     rebuilt = build_witness(5, 615096, lines=lines, phi2=phi2)
     assert not _sa_by_structure(rebuilt)
     assert certify_witness(rebuilt).verdict == "Refuted"
+
+
+# ---------------------------------------------------------- planted failures
+
+_PLANTED = [(d, seed) for d in (3, 4, 5) for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("kind", PLANT_KINDS)
+@pytest.mark.parametrize("d, seed", _PLANTED)
+def test_planted_sa_singularity_is_refuted_by_the_oracles(d, seed, kind):
+    w, point = plant_sa_singularity(d, seed, kind)
+    f = w.projective_equation
+    assert f.eval_at(point) == 0
+    assert not any(g.eval_at(point) for g in f.gradient())
+    assert (point[0] == 0, point[3] == 0) == (kind == "x=0", kind == "w=0")
+    assert not _sa_by_structure(w)
+    if d <= 4:
+        assert not sa_smooth_by_general_route(w)
+
+
+@pytest.mark.parametrize("d, seed", _PLANTED)
+def test_planted_chart_singularity_refuted_at_smoothness(d, seed):
+    w, (x, y, z, w0) = plant_sa_singularity(d, seed, "chart")
+    bundle = certify_witness(w)
+    assert (bundle.verdict, bundle.failed_stage) == ("Refuted", "smoothness")
+    detail = bundle.stages[-1].detail
+    assert detail.startswith("S_A chart: unexpected singular points")
+    # the affine point (x, y, z)/w0 in blow-up coordinates (s, s*v, s*w)
+    assert format_point((x / w0, y / x, z / x)) in detail
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP open item 1: S_A is certified on its blow-up chart x = 1 "
+    "only, which misses every point with x = 0 or w = 0",
+)
+@pytest.mark.parametrize("kind", ["x=0", "w=0"])
+@pytest.mark.parametrize("d, seed", _PLANTED)
+def test_planted_off_chart_singularity_not_certified(d, seed, kind):
+    w, _ = plant_sa_singularity(d, seed, kind)
+    assert certify_witness(w).verdict != "Certified"
+
+
+@pytest.mark.parametrize(
+    "stage, d, seed",
+    [(stage, d, seed) for stage in PLANTED_STAGES for d in (4, 5) for seed in (0, 1)]
+    + [("smoothness", 4, 0)],
+)
+def test_planted_hypothesis_failure_refuted_at_its_stage(stage, d, seed):
+    """One planted failure per hypothesis besides a smooth S_A; the S_B one is
+    the critical value c = -108 on the bounded triangle."""
+    if stage == "smoothness":
+        w = _with_psi(BOUNDED_TRIANGLE, -108)
+    else:
+        w = plant_hypothesis_failure(stage, d, seed)
+    bundle = certify_witness(w)
+    assert (bundle.verdict, bundle.failed_stage) == ("Refuted", stage)
+    detail = bundle.stages[-1].detail
+    assert {
+        "structure": detail == "claimed nodes are not pairwise distinct",
+        "nodes": detail.startswith("claimed node "),
+        "t1": detail.endswith(": S_B singular at p"),
+        "smoothness": detail.startswith("S_B chart tau = 1: unexpected singular points"),
+    }[stage]
 
 
 def test_coprimality_oracle_sees_a_common_factor():
@@ -717,6 +812,61 @@ def test_tampered_chart_fails_structure():
     bundle = certify_witness(broken)
     assert bundle.verdict == "Refuted"
     assert bundle.failed_stage == "structure"
+
+
+def _with_node(w, node):
+    nodes = w.arrangement.nodes[:-1] + (node,)
+    return dataclasses.replace(w, arrangement=LineArrangement(w.arrangement.lines, nodes))
+
+
+def _with_quadric_line(w):
+    """The first line times x: the lines multiply to a form of degree d."""
+    lines = (w.arrangement.lines[0] * MultiPoly.variable(3, 0),) + w.arrangement.lines[1:]
+    arrangement = LineArrangement(lines, w.arrangement.nodes)
+    return dataclasses.replace(w, arrangement=arrangement, phi1=arrangement.product())
+
+
+@pytest.mark.parametrize(
+    "tamper, defect",
+    [
+        (lambda w: dataclasses.replace(w, d=2), "degree below 3"),
+        (lambda w: dataclasses.replace(w, d=5), "arrangement size is not d - 1"),
+        (
+            lambda w: dataclasses.replace(
+                w, arrangement=LineArrangement(w.arrangement.lines, w.arrangement.nodes[:-1])
+            ),
+            "node count differs from C(d-1, 2)",
+        ),
+        (
+            lambda w: _with_node(w, w.arrangement.nodes[0]),
+            "claimed nodes are not pairwise distinct",
+        ),
+        (
+            lambda w: _with_node(w, (Fraction(0), Fraction(1), Fraction(0))),
+            "a node lies outside the glue chart",
+        ),
+        (lambda w: dataclasses.replace(w, phi1=w.phi1 * 2), "phi1 is not the arrangement product"),
+        (_with_quadric_line, "phi1 is not a degree d-1 form"),
+        (lambda w: dataclasses.replace(w, phi2=w.phi2 + 1), "phi2 is not a degree d form"),
+        (
+            lambda w: dataclasses.replace(w, projective_equation=w.projective_equation + 1),
+            "projective equation differs from w*phi1 + phi2",
+        ),
+        (
+            lambda w: dataclasses.replace(w, sb_equation=w.sb_equation + 1),
+            "companion surface is not a degree d-1 form",
+        ),
+    ],
+    ids=[
+        "degree", "size", "count", "distinct", "chart", "product", "phi1-degree",
+        "phi2-degree", "projective", "companion",
+    ],
+)
+def test_each_structural_defect_is_refuted_at_structure(tamper, defect):
+    """The blow-up chart defect is test_tampered_chart_fails_structure."""
+    bundle = certify_witness(tamper(build_witness(4, 2)))
+    assert (bundle.verdict, bundle.failed_stage) == ("Refuted", "structure")
+    assert bundle.stages[-1].detail == defect
 
 
 # ------------------------------------------------------------- serialization

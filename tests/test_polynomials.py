@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: examples, ring axioms, calculus identities."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from nodal_degen.polynomials import (
     MINUS_INFINITY,
     MultiPoly,
     format_point,
+    grlex_key,
     monomials_of_degree,
     parse_rational,
 )
@@ -323,6 +325,18 @@ def test_value_gradient_hessian_examples():
 def test_monomials_of_degree_count():
     assert len(list(monomials_of_degree(3, 4))) == 15
     assert list(monomials_of_degree(2, 1)) == [(1, 0), (0, 1)]
+    for arity in range(6):
+        for degree in range(-1, 9):
+            every = [e for e in product(range(degree + 1), repeat=arity) if sum(e) == degree]
+            every.sort(key=grlex_key, reverse=True)
+            assert list(monomials_of_degree(arity, degree)) == every, (arity, degree)
+
+
+def test_equal_polynomials_hash_equal():
+    p = poly("x**2*y - 3/2*z + 1", XYZ)
+    q = MultiPoly(3, dict(reversed(p.terms())))
+    assert q == p and hash(q) == hash(p)
+    assert len({p, q, p + 0, p * 1, poly("x", XYZ)}) == 2
 
 
 # ------------------------------------------------------- ring axiom sweeps

@@ -1,7 +1,7 @@
 """Dimension bounds, the multiplication-rank oracle, and condition ranks."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,6 @@ from nodal_degen.polynomials import MultiPoly
 from nodal_degen.severi import (
     SystemSpec,
     canonical_point,
-    choose,
     condition_matrix,
     heuristic_floor,
     independence_rank,
@@ -123,7 +122,7 @@ def test_large_arrangement_nodes_are_regular(d):
     nodes = build_witness(d, d).arrangement.nodes
     spec = SystemSpec("p2", d - 1)
     r = independence_rank(spec, condition_matrix(spec, nodes))
-    assert (r.rank, r.regular) == (choose(d - 1, 2), True)
+    assert (r.rank, r.regular) == (comb(d - 1, 2), True)
 
 
 def test_regular_means_expected_codimension():

@@ -360,6 +360,24 @@ def test_exclusion_cap_inconclusive_reports_residual():
         assert r.residual_basis
 
 
+@pytest.mark.parametrize(
+    "text, allowed, degree_cap, status, detail",
+    [
+        ("s*v**2 - s**2*w", [], 3, INCONCLUSIVE, "degree cap 3 exceeded"),
+        ("s**2 + v**2 + w**2 + 1", [(0, 0, 0)], None, REFUTED,
+         "surface chart is smooth but singular points were claimed"),
+    ],
+    ids=["cap-exceeded", "smooth-but-claimed"],
+)
+def test_exclusion_verdicts_without_points(text, allowed, degree_cap, status, detail):
+    r = exclude_extra_singularities(poly(text, SVW), allowed, degree_cap=degree_cap)
+    assert (r.status, r.detail) == (status, detail)
+    if status == INCONCLUSIVE:
+        assert r.residual_basis and r.singular_points is None
+    else:
+        assert r.singular_points == () and r.residual_basis is None
+
+
 def test_exclusion_implies_critical_at_allowed():
     # Certified exclusion means every allowed point is genuinely critical.
     f = poly("s**4 - 2*s**3 + s**2 + v**2 + w**2", SVW)
