@@ -30,12 +30,7 @@ from itertools import combinations
 from math import comb, isqrt, lcm, prod
 from typing import Sequence
 
-from nodal_degen.constructions import (
-    LineArrangement,
-    SurfaceWitness,
-    _derived_equations,
-    build_witness,
-)
+from nodal_degen.constructions import LineArrangement, SurfaceWitness, build_witness
 from nodal_degen.errors import DataFormatError, GluingError, PointNotOnSurface
 from nodal_degen.linalg import RatMatrix
 from nodal_degen.polynomials import (
@@ -689,7 +684,7 @@ def _random_vector(rng: random.Random) -> list[int]:
 
 
 def plant_sa_singularity(
-    d: int, seed: int, kind: str, budget: int = PLANT_BUDGET
+    d: int, seed: int, kind: str
 ) -> tuple[SurfaceWitness, tuple[Fraction, ...]]:
     """The lines of ``build_witness(d, seed)`` with a new phi2 that makes S_A
     singular at a point of the given kind, and that point [x:y:z:w] of
@@ -705,14 +700,14 @@ def plant_sa_singularity(
     "w=0", phi2 = m1**2*a + m1*m2*b + m2**2*c with independent forms m1, m2
     through q, so phi2 vanishes to order 2 at q and the point is [q : 0].
     a, b and c are random forms.  A draw in which phi2 vanishes at a node
-    is redrawn too; after ``budget`` draws, ValueError.
+    is redrawn too; after ``PLANT_BUDGET`` draws, ValueError.
     """
     if kind not in PLANT_KINDS:
         raise ValueError(f"kind must be one of {PLANT_KINDS}, got {kind!r}")
     arrangement = build_witness(d, seed).arrangement
     lines, nodes = arrangement.lines, arrangement.nodes
     rng = random.Random(f"{kind} {d} {seed}")
-    for _ in range(budget):
+    for _ in range(PLANT_BUDGET):
         i = rng.randrange(len(lines))
         a = _line_ints(lines[i])
         if kind == "x=0":
@@ -746,29 +741,30 @@ def plant_sa_singularity(
             continue
         point = tuple(Fraction(x) for x in q) + (w,)
         return build_witness(d, seed, lines=lines, phi2=phi2), point
-    raise ValueError(f"no {kind} singularity planted for d={d}, seed={seed} in {budget} draws")
+    raise ValueError(
+        f"no {kind} singularity planted for d={d}, seed={seed} in {PLANT_BUDGET} draws"
+    )
 
 
 #: Stages at which ``plant_hypothesis_failure`` makes the chain fail.
 PLANTED_STAGES = ("structure", "nodes", "t1")
 
 
-def plant_hypothesis_failure(
-    stage: str, d: int, seed: int, budget: int = PLANT_BUDGET
-) -> SurfaceWitness:
+def plant_hypothesis_failure(stage: str, d: int, seed: int) -> SurfaceWitness:
     """``build_witness(d, seed)`` with one hypothesis of the certificate
     chain broken in memory, so that the chain refutes it at ``stage``:
 
     - "structure": a line replaced by a random line through the node of two
       others (d >= 4), a concurrent triple whose claimed nodes, one per pair
-      of lines, are not pairwise distinct;
+      of lines, are not pairwise distinct; only the arrangement is replaced,
+      since the chain stops at this defect before it reads phi1;
     - "nodes": a random node moved by 1 in y, off the curve C;
     - "t1": psi minus psi(n, 0)*(l/l(n))**(d-2) for a random node n and a
       random linear form l with l(n) != 0, so psi(n, 0) = 0 and S_B is
       singular at n.
 
     Random draws that do not break the hypothesis are redrawn, at most
-    ``budget`` times; then ValueError.
+    ``PLANT_BUDGET`` times; then ValueError.
     """
     if stage not in PLANTED_STAGES:
         raise ValueError(f"stage must be one of {PLANTED_STAGES}, got {stage!r}")
@@ -780,7 +776,7 @@ def plant_hypothesis_failure(
         x, y, z = nodes[k]
         nodes[k] = (x, y + 1, z)
         return dataclasses.replace(w, arrangement=LineArrangement(tuple(lines), tuple(nodes)))
-    for _ in range(budget):
+    for _ in range(PLANT_BUDGET):
         if stage == "t1":
             node = rng.choice(nodes)
             ell = _linear_form(_random_vector(rng))
@@ -796,19 +792,11 @@ def plant_hypothesis_failure(
         coeffs[k] = list(_int_cross(node, _random_vector(rng)))
         if not all(any(_int_cross(a, b)) for a, b in combinations(coeffs, 2)):
             continue  # a zero form, or two proportional lines
-        lines = [_linear_form(a) for a in coeffs]
         arrangement = LineArrangement(
-            tuple(lines),
+            tuple(_linear_form(a) for a in coeffs),
             tuple(canonical_point(_int_cross(a, b)) for a, b in combinations(coeffs, 2)),
         )
-        phi1 = arrangement.product()
-        projective, chart = _derived_equations(phi1, w.phi2)
-        return dataclasses.replace(
-            w,
-            arrangement=arrangement,
-            phi1=phi1,
-            projective_equation=projective,
-            blowup_chart_a=chart,
-            sb_equation=phi1.extend(1) + MultiPoly.variable(4, 3) * w.psi,
-        )
-    raise ValueError(f"no {stage} failure planted for d={d}, seed={seed} in {budget} draws")
+        return dataclasses.replace(w, arrangement=arrangement)
+    raise ValueError(
+        f"no {stage} failure planted for d={d}, seed={seed} in {PLANT_BUDGET} draws"
+    )

@@ -639,24 +639,18 @@ def test_planted_off_chart_singularity_not_certified(d, seed, kind):
 
 @pytest.mark.parametrize(
     "stage, d, seed",
-    [(stage, d, seed) for stage in PLANTED_STAGES for d in (4, 5) for seed in (0, 1)]
-    + [("smoothness", 4, 0)],
+    [(stage, d, seed) for stage in PLANTED_STAGES for d in (4, 5) for seed in (0, 1)],
 )
 def test_planted_hypothesis_failure_refuted_at_its_stage(stage, d, seed):
-    """One planted failure per hypothesis besides a smooth S_A; the S_B one is
-    the critical value c = -108 on the bounded triangle."""
-    if stage == "smoothness":
-        w = _with_psi(BOUNDED_TRIANGLE, -108)
-    else:
-        w = plant_hypothesis_failure(stage, d, seed)
-    bundle = certify_witness(w)
+    """One planted failure per hypothesis besides a smooth S_A and a smooth
+    S_B; the S_B one, c = -108, is test_sb_critical_value_refuted_on_tau_chart."""
+    bundle = certify_witness(plant_hypothesis_failure(stage, d, seed))
     assert (bundle.verdict, bundle.failed_stage) == ("Refuted", stage)
     detail = bundle.stages[-1].detail
     assert {
         "structure": detail == "claimed nodes are not pairwise distinct",
         "nodes": detail.startswith("claimed node "),
         "t1": detail.endswith(": S_B singular at p"),
-        "smoothness": detail.startswith("S_B chart tau = 1: unexpected singular points"),
     }[stage]
 
 
@@ -838,10 +832,6 @@ def _with_quadric_line(w):
             "node count differs from C(d-1, 2)",
         ),
         (
-            lambda w: _with_node(w, w.arrangement.nodes[0]),
-            "claimed nodes are not pairwise distinct",
-        ),
-        (
             lambda w: _with_node(w, (Fraction(0), Fraction(1), Fraction(0))),
             "a node lies outside the glue chart",
         ),
@@ -858,12 +848,14 @@ def _with_quadric_line(w):
         ),
     ],
     ids=[
-        "degree", "size", "count", "distinct", "chart", "product", "phi1-degree",
+        "degree", "size", "count", "chart", "product", "phi1-degree",
         "phi2-degree", "projective", "companion",
     ],
 )
 def test_each_structural_defect_is_refuted_at_structure(tamper, defect):
-    """The blow-up chart defect is test_tampered_chart_fails_structure."""
+    """The blow-up chart defect is test_tampered_chart_fails_structure, and
+    nodes that are not pairwise distinct are
+    test_planted_hypothesis_failure_refuted_at_its_stage[structure-*]."""
     bundle = certify_witness(tamper(build_witness(4, 2)))
     assert (bundle.verdict, bundle.failed_stage) == ("Refuted", "structure")
     assert bundle.stages[-1].detail == defect

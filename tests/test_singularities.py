@@ -353,11 +353,12 @@ def test_exclusion_irrational_points_inconclusive():
 
 
 def test_exclusion_cap_inconclusive_reports_residual():
+    """The two allowed nodes end the Groebner run before the cap of 4 binds;
+    the cap itself is test_exclusion_verdicts_without_points[cap-exceeded]."""
     f = poly("s**4 - 2*s**3 + s**2 + v**2 + w**2", SVW)
     r = exclude_extra_singularities(f, [(0, 0, 0), (1, 0, 0)], degree_cap=4)
-    assert r.status in (CERTIFIED, INCONCLUSIVE)
-    if r.status == INCONCLUSIVE:
-        assert r.residual_basis
+    assert (r.status, r.detail) == (CERTIFIED, "singular locus is exactly the 2 allowed point(s)")
+    assert r.residual_basis is None
 
 
 @pytest.mark.parametrize(
