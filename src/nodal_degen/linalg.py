@@ -4,9 +4,16 @@ A matrix keeps, from construction on, the integer rescaling it eliminates
 on: row i is ``int_rows[i] / multipliers[i]`` with integer entries and a
 positive multiplier.  One Bareiss fraction-free elimination on those integer
 rows gives both the rank and, from its last pivot signed by the row swaps,
-the determinant; intermediate values stay integral and exact.  ``rank_mod``
-reduces the same integer rows modulo a word-size prime; it is reported as a
-cross-check only, never used as a certificate.
+the determinant; intermediate values stay integral and exact.
+
+``rank_mod`` reduces the same integer rows modulo a prime and eliminates on
+packed rows: each row is one int holding its residues in fields of ``w``
+bits, ``2*bitlen(p) + bitlen(rows) + 1`` rounded up to whole bytes, with the
+current column in the lowest field.  A row update is one big-integer
+multiply-add by the pivot row, which is reduced and scaled once per column;
+no field ever reaches ``2**w``, because a row takes at most ``rows - 1``
+additions of less than ``p**2`` each.  The modular rank is a cross-check
+that decides no verdict, never a certificate.
 """
 
 from __future__ import annotations
@@ -76,22 +83,46 @@ class RatMatrix:
         """Rank over the prime field F_p of the integer rows.
 
         Row scaling keeps the rational rank, and reduction mod p can only
-        lower it, so the value never exceeds :meth:`rank`.
+        lower it, so the value never exceeds :meth:`rank`.  It is a
+        cross-check that decides no verdict.
+
+        Each row is packed into one int whose fields of ``w`` bits hold its
+        residues mod p, the current column in the lowest field; ``w`` is
+        ``2*bitlen(p) + bitlen(rows) + 1`` rounded up to whole bytes.  Per
+        column, the pivot row is reduced mod p field by field and scaled to
+        head 1, once; a lower row with head residue e takes
+        ``row + (p - e) * pivot``, one big-integer multiply-add that leaves
+        its head field divisible by p.  Every row then drops its head field
+        by a shift of one field (the pivot is added already shifted).
+
+        Invariant: every field stays nonnegative and below ``2**w``, so no
+        carry crosses into the next field.  A field starts below p and a
+        row takes at most ``rows - 1`` additions, each below p**2, so it
+        stays below ``rows * p**2 < 2**(w - 1)``.
         """
-        m = [[x % p for x in row] for row in self.int_rows]
+        step = (2 * p.bit_length() + self.rows.bit_length() + 8) // 8
+        w = 8 * step
+        head_mask = (1 << w) - 1
+
+        def pack(residues: list[int]) -> int:
+            data = b"".join([r.to_bytes(step, "little") for r in residues])
+            return int.from_bytes(data, "little")
+
+        rows = [pack([x % p for x in row]) for row in self.int_rows]
         rank = 0
-        for col in range(self.cols):
-            pivot = next((r for r in range(rank, self.rows) if m[r][col]), None)
-            if pivot is None:
+        for left in reversed(range(self.cols)):
+            heads = [(row & head_mask) % p for row in rows]
+            pivot_at = next((i for i, e in enumerate(heads) if e), None)
+            if pivot_at is None:
+                rows = [row >> w for row in rows]
                 continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            inv = pow(m[rank][col], -1, p)
-            for r in range(rank + 1, self.rows):
-                if m[r][col]:
-                    factor = m[r][col] * inv % p
-                    m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[rank])]
+            inv = pow(heads.pop(pivot_at), -1, p)
+            tail = (rows.pop(pivot_at) >> w).to_bytes(left * step, "little")
+            fields = range(0, len(tail), step)
+            pivot = pack([int.from_bytes(tail[k : k + step], "little") * inv % p for k in fields])
+            rows = [(row >> w) + (p - e) * pivot if e else row >> w for row, e in zip(rows, heads)]
             rank += 1
-            if rank == self.rows:
+            if not rows:
                 break
         return rank
 

@@ -237,6 +237,32 @@ def minor_rank(rows: Sequence[Sequence], p: int | None = None) -> int:
     return 0
 
 
+def rank_mod_reference(int_rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p of integer rows, one residue list per row.
+
+    The row-by-row elimination that ``RatMatrix.rank_mod`` ran before it
+    packed each row into one int; kept as the reference it is tested against.
+    """
+    nrows = len(int_rows)
+    ncols = len(int_rows[0]) if int_rows else 0
+    m = [[x % p for x in row] for row in int_rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for r in range(rank + 1, nrows):
+            if m[r][col]:
+                factor = m[r][col] * inv % p
+                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
 def solve_unique(matrix: RatMatrix, rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve A x = b for the unique solution; raises if none or many exist."""
     if len(rhs) != matrix.rows:

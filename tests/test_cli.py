@@ -11,6 +11,7 @@ import pytest
 import nodal_degen
 from nodal_degen import cli
 from nodal_degen.constructions import build_witness, witness_to_json
+from nodal_degen.linalg import RatMatrix
 from nodal_degen.polynomials import MultiPoly
 from oracles import poly
 
@@ -430,6 +431,20 @@ def test_regularity_zero_denominator_exits_65(tmp_path, capsys):
         cli.main(["regularity", "--system", str(system), "--points", str(points)])
     assert exc.value.code == 65
     assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
+def test_regularity_internal_rank_fault_exits_1(tmp_path, capsys, monkeypatch):
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({"space": "p2", "d": 1}))
+    points = tmp_path / "pts.json"
+    points.write_text(json.dumps({"points": [["0", "0", "1"], ["0", "1", "1"]]}))
+    monkeypatch.setattr(RatMatrix, "rank_mod", lambda self: self.rank() + 1)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["regularity", "--system", str(system), "--points", str(points)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "nodal-degen: modular rank exceeded the rational rank\n"
+    assert captured.out == ""
 
 
 def test_hessian_limit_zero_denominator_exits_65(tmp_path, capsys):

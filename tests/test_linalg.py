@@ -1,5 +1,7 @@
-"""Exact rank/determinant against the exhaustive minor oracle."""
+"""Exact rank/determinant against the exhaustive minor oracle, and the
+packed modular rank against the row-by-row reference."""
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodal_degen.linalg import DEFAULT_PRIME, RatMatrix
-from oracles import fraction_det, minor_rank, solve_unique
+from oracles import fraction_det, minor_rank, rank_mod_reference, solve_unique
 
 
 def test_det_diagonal():
@@ -115,3 +117,60 @@ def test_matrix_agrees_with_fraction_oracles(integer, data):
     scaled = [[x * lcm(*(Fraction(y).denominator for y in row)) for x in row] for row in rows]
     for p in (2, 3, DEFAULT_PRIME):
         assert m.rank_mod(p) == minor_rank(scaled, p)
+
+
+def _integer_matrix(rows, ncols):
+    return RatMatrix(len(rows), ncols, tuple(map(tuple, rows)), (1,) * len(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((2, 3, 101, DEFAULT_PRIME)), st.integers(0, 12), st.integers(0, 30), st.data()
+)
+def test_rank_mod_matches_reference(p, nrows, ncols, data):
+    # entries up to 10**40 in size, small ones and exact multiples of p;
+    # zero rows and zero columns; and a last row that is the sum of two
+    # earlier ones, so that the rank can drop
+    big = 10**40
+    entry = st.one_of(
+        st.integers(-big, big),
+        st.integers(-3, 3),
+        st.integers(-big // p, big // p).map(lambda k: k * p),
+    )
+    rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    indices = st.sets(st.integers(0, max(nrows, ncols)))
+    zero_rows, zero_cols = data.draw(indices), data.draw(indices)
+    rows = [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    if nrows >= 3 and data.draw(st.booleans()):
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+    assert _integer_matrix(rows, ncols).rank_mod(p) == rank_mod_reference(rows, p)
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "last-pivot-zero"])
+@pytest.mark.parametrize("p", [2, DEFAULT_PRIME])
+def test_rank_mod_field_width_holds_the_most_additions(p, full):
+    # A = L U mod p, with L unit lower triangular and 1 below the diagonal,
+    # and U upper triangular with a unit diagonal and residues near p - 1
+    # above it.  The elimination multipliers are L's entries, so every lower
+    # row takes an addition at every pivot, the most a row can take, and
+    # each addition is (p - 1) times a residue near p - 1, near the p**2
+    # bound.  70 rows cross 64, where bitlen(rows) grows to 7.  With U's
+    # last pivot zero the last row must end divisible by p in every field,
+    # which a carry between fields would break.
+    n = 70
+    rng = random.Random(p)
+    upper = [
+        [0] * i + [1] + [p - 1 - rng.randrange(min(p - 1, 8)) for _ in range(n - 1 - i)]
+        for i in range(n)
+    ]
+    if not full:
+        upper[-1][-1] = 0
+    rows, acc = [], [0] * n
+    for u in upper:
+        acc = [(a + b) % p for a, b in zip(acc, u)]
+        rows.append(acc)
+    rank = _integer_matrix(rows, n).rank_mod(p)
+    assert rank == rank_mod_reference(rows, p) == (n if full else n - 1)

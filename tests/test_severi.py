@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodal_degen.constructions import build_witness
-from nodal_degen.errors import ArityError, DataFormatError, PointNotOnSurface
+from nodal_degen.errors import ArityError, DataFormatError, PointNotOnSurface, ToolkitError
 from nodal_degen.linalg import RatMatrix
 from nodal_degen.polynomials import MultiPoly
 from nodal_degen.severi import (
@@ -112,6 +112,16 @@ def test_triangle_nodes_vs_cubics():
     matrix = condition_matrix(spec, [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
     r = independence_rank(spec, matrix)
     assert (r.rank, r.regular, r.tangent_dim) == (3, True, 6)
+
+
+def test_modular_rank_above_the_rational_rank_is_a_fault(monkeypatch):
+    # reduction mod p never raises a rank, so a larger modular rank can
+    # only be an internal fault, and no report is made
+    spec = SystemSpec("p2", 1)
+    matrix = condition_matrix(spec, [(0, 0, 1), (0, 1, 1), (0, 1, 2)])
+    monkeypatch.setattr(RatMatrix, "rank_mod", lambda self: self.rank() + 1)
+    with pytest.raises(ToolkitError, match="^modular rank exceeded the rational rank$"):
+        independence_rank(spec, matrix)
 
 
 @pytest.mark.parametrize("d", range(8, 13))
