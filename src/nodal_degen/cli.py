@@ -15,7 +15,6 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import NoReturn
 
 from . import __version__
@@ -36,7 +35,7 @@ from .degeneration import (
     verify_t1_to_node,
 )
 from .errors import DataFormatError, GenericityError, PointNotOnSurface, ToolkitError
-from .polynomials import MultiPoly, format_rational, parse_rational
+from .polynomials import MultiPoly, format_point, format_rational, parse_rational
 from .severi import (
     SystemSpec,
     condition_matrix,
@@ -53,6 +52,12 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+
+#: The largest condition matrix ``regularity`` accepts, in rows x columns
+#: (an empty point set counts as one row).  Bareiss decides the rank, and on
+#: points of height 9 the slowest matrix within this bound, 120 x 120 over
+#: plane curves of degree 14, took 3 s (README "Limits").
+MAX_CONDITION_ENTRIES = 120 * 120
 
 # the exit code of each verdict; any verdict not listed is a refutation
 _EXIT_CODES = {
@@ -204,6 +209,13 @@ def cmd_bounds(args) -> tuple[dict, str, str]:
 def cmd_regularity(args) -> tuple[dict, str, str]:
     spec = SystemSpec.from_json(_load_json(args.system))
     points = parse_points(_load_json(args.points))
+    columns = spec.monomial_count()
+    if max(len(points), 1) * columns > MAX_CONDITION_ENTRIES:
+        raise _fail(
+            EXIT_USAGE,
+            f"regularity: the {len(points)} x {columns} condition matrix exceeds "
+            f"the limit of {MAX_CONDITION_ENTRIES} entries (rows x columns)",
+        )
     try:
         matrix = condition_matrix(spec, points)
     except (ValueError, PointNotOnSurface) as exc:
@@ -231,18 +243,14 @@ def cmd_deform_check(args) -> tuple[dict, str, str]:
         text = f"no rational slice at t = {t} (-4t is not a square)"
         return doc, text, "Inconclusive"
     report = verify_t1_to_node(family)
+    ratio = report.witness["tangent_cone_ratio"]
     doc = report.to_json()
     doc["t"] = format_rational(t)
-    doc["alpha"] = format_rational(report.witness["alpha"])
-    doc["tangent_cone_ratio"] = (
-        format_rational(report.witness["tangent_cone_ratio"])
-        if report.witness.get("tangent_cone_ratio") is not None
-        else None
-    )
-    point = ", ".join(format_rational(x) for x in report.point)
+    doc["alpha"] = format_rational(family.alpha)
+    doc["tangent_cone_ratio"] = None if ratio is None else format_rational(ratio)
     text = (
-        f"t = {t}: {report.kind} at chart point ({point}); "
-        f"Hessian det {format_rational(report.witness.get('hessian_det', Fraction(0)))}; "
+        f"t = {t}: {report.kind} at chart point {format_point(report.point)}; "
+        f"Hessian det {doc.get('hessian_det', '0')}; "
         f"tangent cone ratio {doc['tangent_cone_ratio']}"
     )
     return doc, text, report.kind
@@ -297,15 +305,15 @@ def main(argv: list[str] | None = None) -> int:
         "wall_time_ms": int((time.perf_counter() - started) * 1000),
         "verdict": verdict,
     }
+    rendered = json.dumps(doc, indent=2, sort_keys=True)
     out = getattr(args, "out", None)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(rendered + "\n")
         except OSError as exc:
             raise _fail(EXIT_USAGE, f"nodal-degen: cannot write {out}: {exc}")
-    print(json.dumps(doc, indent=2, sort_keys=True) if args.json else text)
+    print(rendered if args.json else text)
     return _EXIT_CODES.get(verdict, EXIT_REFUTED)
 
 

@@ -105,9 +105,7 @@ def verify_t1_to_node(family: FamilySlice) -> SingularityReport:
     report = classify_point(recentred, (0, 0, 0))
     quadratic = recentred.degree_part(2)
     ratio = quadratic.scalar_ratio(tangent_cone_prediction(family.alpha))
-    witness = dict(report.witness)
-    witness["alpha"] = family.alpha
-    witness["tangent_cone_ratio"] = ratio
+    witness = {**report.witness, "tangent_cone_ratio": ratio}
     if ratio is None:
         return SingularityReport(
             point, REFUTED, reason="tangent cone mismatch", witness=witness
@@ -142,11 +140,11 @@ def limit_hessian(p: MultiPoly) -> RatMatrix:
     """The 3x3 limit B0 of the rescaled Hessian of the induced surface equation.
 
     Input is a 4-variable local equation in (x, y, z, u) in the normal form
-    p = x + y + (terms of degree >= 2).  The first column of B0 degenerates to
-    (px*py, 0, 0) in the limit, the lower-right block is px**2/2 times the
-    (z, u) Hessian, and the remaining first-row entries are the limits
-    (pyz - pxz)/2 and (pyu - pxu)/2 of the rescaled mixed terms.  The
-    partials at the origin are read off the linear and quadratic
+    p = x + y + (terms of degree >= 2), so px = py = 1.  The first column of
+    B0 degenerates to (px*py, 0, 0) in the limit, the lower-right block is
+    px**2/2 times the (z, u) Hessian, and the remaining first-row entries are
+    the limits (pyz - pxz)/2 and (pyu - pxu)/2 of the rescaled mixed terms.
+    The partials at the origin are read off the linear and quadratic
     coefficients.
     """
     if p.arity != 4:
@@ -159,13 +157,9 @@ def limit_hessian(p: MultiPoly) -> RatMatrix:
     half = Fraction(1, 2)
     return RatMatrix.from_rows(
         [
-            [
-                px * py,
-                half * (second[1][2] - second[0][2]),
-                half * (second[1][3] - second[0][3]),
-            ],
-            [0, half * px * px * second[2][2], half * px * px * second[2][3]],
-            [0, half * px * px * second[2][3], half * px * px * second[3][3]],
+            [1, half * (second[1][2] - second[0][2]), half * (second[1][3] - second[0][3])],
+            [0, half * second[2][2], half * second[2][3]],
+            [0, half * second[2][3], half * second[3][3]],
         ]
     )
 

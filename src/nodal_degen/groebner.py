@@ -281,10 +281,8 @@ def _run_buchberger(int_gens: list[_IntPoly], pk: _Packing, degree_cap: int, n_z
     the leading monomials leave at most that many standard ones.
     """
 
-    def basis_view(G):
-        rows = [(lm, g[lm], g, pk.guard) for lm, g in ((max(g), g) for g in G)]
-        rows.sort(key=itemgetter(0))
-        return rows
+    def basis_view(indices):
+        return sorted(((lms[i], G[i][lms[i]], G[i], pk.guard) for i in indices), key=itemgetter(0))
 
     # Packed monomials of degree at most the cap are exactly those below this.
     above_cap = (degree_cap + 1) << (pk.arity * pk.width)
@@ -305,7 +303,7 @@ def _run_buchberger(int_gens: list[_IntPoly], pk: _Packing, degree_cap: int, n_z
             if not f:
                 continue
         if G:
-            f = _reduce(f, basis_view(G))
+            f = _reduce(f, basis_view(range(len(G))))
             if not f:
                 continue
         pairs = _gm_update(G, lms, live, pairs, f, pk)
@@ -314,10 +312,9 @@ def _run_buchberger(int_gens: list[_IntPoly], pk: _Packing, degree_cap: int, n_z
             break
 
     status = "ok" if not pairs else "inconclusive"
-    minimal = [G[i] for i in live]
     reduced = [
-        _reduce(f, basis_view(minimal[:k] + minimal[k + 1 :])) if len(minimal) > 1 else f
-        for k, f in enumerate(minimal)
+        _reduce(G[i], basis_view(j for j in live if j != i)) if len(live) > 1 else G[i]
+        for i in live
     ]
     reduced.sort(key=max, reverse=True)
     return reduced, status

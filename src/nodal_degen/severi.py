@@ -67,6 +67,10 @@ class SystemSpec:
     def monomial_basis(self):
         return list(monomials_of_degree(self.ambient_arity, self.d))
 
+    def monomial_count(self) -> int:
+        """The length of ``monomial_basis()``, counted without enumerating it."""
+        return comb(self.d + self.ambient_arity - 1, self.ambient_arity - 1)
+
     @classmethod
     def from_json(cls, doc: dict) -> "SystemSpec":
         try:
@@ -90,11 +94,9 @@ def linear_system_dim(spec: SystemSpec) -> int:
     arithmetic the toolkit certifies; the tests cross-check it against the
     rank of the multiplication map by a form of degree h + 2.
     """
-    if spec.space == "p2":
-        return comb(spec.d + 2, 2) - 1
-    if spec.space == "p3":
-        return comb(spec.d + 3, 3) - 1
-    return comb(spec.d + 3, 3) - comb(spec.d - spec.h + 1, 3) - 1
+    if spec.space == "ci4":
+        return spec.monomial_count() - comb(spec.d - spec.h + 1, 3) - 1
+    return spec.monomial_count() - 1
 
 
 def max_regular_delta(spec: SystemSpec) -> int:

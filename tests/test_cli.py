@@ -2,8 +2,11 @@
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from nodal_degen import cli
 from nodal_degen.constructions import build_witness, witness_to_json
 from nodal_degen.linalg import RatMatrix
 from nodal_degen.polynomials import MultiPoly
+from nodal_degen.severi import SystemSpec, canonical_point
 from oracles import poly
 
 
@@ -299,6 +303,51 @@ def test_certify_out_file_is_the_printed_document(tmp_path):
         assert doc["manifest"].pop("wall_time_ms") >= 0
     assert written == printed
     assert written["verdict"] == written["manifest"]["verdict"] == "Certified"
+
+
+@pytest.mark.parametrize("command", ["construct", "certify"])
+def test_printed_json_is_the_out_file(command, tmp_path):
+    """--json prints the bytes written to --out, less the file's trailing
+    newline, which print adds back."""
+    witness, out = tmp_path / "w.json", tmp_path / "out.json"
+    run(["construct", "--d", "3", "--seed", "1", "--out", str(witness)])
+    argv = {
+        "construct": ["construct", "--d", "3", "--seed", "1", "--out", str(out), "--json"],
+        "certify": ["certify", str(witness), "--out", str(out), "--json"],
+    }[command]
+    code, text = run(argv)
+    assert code == 0
+    written = out.read_bytes().decode("utf-8")
+    assert written.endswith("}\n") and not written.endswith("\n\n")
+    assert text.removesuffix("\n") == written.removesuffix("\n")
+
+
+# -------------------------------------------------------- golden documents
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _masked(text):
+    """CLI output with the manifest's wall time set to 0."""
+    return re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', text)
+
+
+@pytest.mark.parametrize("t", ["-1", "-1/4", "-9/4"])
+def test_deform_check_golden_outputs(t):
+    name = GOLDEN / f"deform-check_t{t.replace('/', '_')}"
+    code, text = run(["deform-check", f"--t={t}", "--json"])
+    assert (code, _masked(text)) == (0, name.with_suffix(".json").read_text())
+    assert run(["deform-check", f"--t={t}"]) == (0, name.with_suffix(".txt").read_text())
+
+
+def test_hessian_limit_golden_document(tmp_path, monkeypatch):
+    p = poly(
+        "x + y + x*z + 3*y*z + 1/2*x*u - z**2 + 5*z*u + 2*u**2 + u**3", ("x", "y", "z", "u")
+    )
+    (tmp_path / "p.json").write_text(json.dumps(p.to_json(("x", "y", "z", "u"))))
+    monkeypatch.chdir(tmp_path)  # the manifest records the relative path
+    code, text = run(["hessian-limit", "--poly", "p.json", "--json"])
+    assert (code, _masked(text)) == (0, (GOLDEN / "hessian-limit.json").read_text())
 
 
 # the documented exit code of each verdict (README "CLI"); any other is 1
@@ -679,3 +728,73 @@ def test_malformed_input_exits_64_or_65(case, tmp_path, valid_witness):
     with pytest.raises(SystemExit) as exc:
         cli.main([arg.format(**paths) for arg in argv])
     assert exc.value.code == code
+
+
+# ------------------------------------------------------------- size limit
+
+
+def _height_9_points(arity, k):
+    """k distinct seeded points of projective space with integer coordinates
+    in [-9, 9]."""
+    rng = random.Random(12)
+    seen, points = set(), []
+    while len(points) < k:
+        p = [rng.randint(-9, 9) for _ in range(arity)]
+        if not any(p):
+            continue
+        key = canonical_point(p)
+        if key not in seen:
+            seen.add(key)
+            points.append([str(x) for x in p])
+    return points
+
+
+def _regularity_files(tmp_path, system, points):
+    paths = tmp_path / "sys.json", tmp_path / "pts.json"
+    paths[0].write_text(json.dumps(system))
+    paths[1].write_text(json.dumps({"points": points}))
+    return ["regularity", "--system", str(paths[0]), "--points", str(paths[1])]
+
+
+@pytest.mark.parametrize(
+    "space, d, k",
+    [("p2", 14, 121), ("p3", 1000, 1), ("p3", 1000, 0)],
+    ids=["121x120", "1x167668501", "0x167668501"],
+)
+def test_regularity_above_the_size_limit_exits_64_before_enumerating(
+    space, d, k, tmp_path, capsys, monkeypatch
+):
+    """Just above the limit (121 x 120), and far above it (one row, or no
+    row, of C(1003, 3) columns), regularity is a usage error before it
+    enumerates a monomial basis."""
+    argv = _regularity_files(
+        tmp_path, {"space": space, "d": d}, _height_9_points(3 if space == "p2" else 4, k)
+    )
+
+    def enumerated(self):
+        raise AssertionError("the monomial basis was enumerated")
+
+    monkeypatch.setattr(SystemSpec, "monomial_basis", enumerated)
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert time.perf_counter() - started < 1
+    assert exc.value.code == 64
+    columns = SystemSpec(space, d).monomial_count()
+    assert capsys.readouterr().err == (
+        f"regularity: the {k} x {columns} condition matrix exceeds the limit of "
+        f"{cli.MAX_CONDITION_ENTRIES} entries (rows x columns)\n"
+    )
+
+
+def test_regularity_at_the_size_limit_finishes_in_time(tmp_path):
+    """The slowest measured input within the limit, 120 height-9 points
+    against plane curves of degree 14 (120 x 120), within the 10 s that
+    README "Limits" states."""
+    assert 120 * SystemSpec("p2", 14).monomial_count() == cli.MAX_CONDITION_ENTRIES
+    argv = _regularity_files(tmp_path, {"space": "p2", "d": 14}, _height_9_points(3, 120))
+    started = time.perf_counter()
+    code, text = run([*argv, "--json"])
+    assert time.perf_counter() - started < 10
+    assert code == 0
+    assert json.loads(text)["rank"] == 120

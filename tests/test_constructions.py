@@ -614,15 +614,21 @@ def test_planted_sa_singularity_is_refuted_by_the_oracles(d, seed, kind):
         assert not sa_smooth_by_general_route(w)
 
 
-@pytest.mark.parametrize("d, seed", _PLANTED)
-def test_planted_chart_singularity_refuted_at_smoothness(d, seed):
-    w, (x, y, z, w0) = plant_sa_singularity(d, seed, "chart")
+def _assert_refuted_at_chart_point(w, point):
+    """certify_witness refutes w at smoothness and names the S_A singular
+    point [x:y:z:w0], a point of the blow-up chart x = 1."""
+    x, y, z, w0 = point
     bundle = certify_witness(w)
     assert (bundle.verdict, bundle.failed_stage) == ("Refuted", "smoothness")
     detail = bundle.stages[-1].detail
     assert detail.startswith("S_A chart: unexpected singular points")
     # the affine point (x, y, z)/w0 in blow-up coordinates (s, s*v, s*w)
     assert format_point((x / w0, y / x, z / x)) in detail
+
+
+@pytest.mark.parametrize("d, seed", _PLANTED)
+def test_planted_chart_singularity_refuted_at_smoothness(d, seed):
+    _assert_refuted_at_chart_point(*plant_sa_singularity(d, seed, "chart"))
 
 
 @pytest.mark.xfail(
@@ -637,6 +643,14 @@ def test_planted_off_chart_singularity_not_certified(d, seed, kind):
     assert certify_witness(w).verdict != "Certified"
 
 
+#: What the refutation of each planted hypothesis failure says.
+_PLANTED_DETAIL = {
+    "structure": lambda detail: detail == "claimed nodes are not pairwise distinct",
+    "nodes": lambda detail: detail.startswith("claimed node "),
+    "t1": lambda detail: detail.endswith(": S_B singular at p"),
+}
+
+
 @pytest.mark.parametrize(
     "stage, d, seed",
     [(stage, d, seed) for stage in PLANTED_STAGES for d in (4, 5) for seed in (0, 1)],
@@ -646,12 +660,62 @@ def test_planted_hypothesis_failure_refuted_at_its_stage(stage, d, seed):
     S_B; the S_B one, c = -108, is test_sb_critical_value_refuted_on_tau_chart."""
     bundle = certify_witness(plant_hypothesis_failure(stage, d, seed))
     assert (bundle.verdict, bundle.failed_stage) == ("Refuted", stage)
-    detail = bundle.stages[-1].detail
-    assert {
-        "structure": detail == "claimed nodes are not pairwise distinct",
-        "nodes": detail.startswith("claimed node "),
-        "t1": detail.endswith(": S_B singular at p"),
-    }[stage]
+    assert _PLANTED_DETAIL[stage](bundle.stages[-1].detail)
+
+
+# Bounded and derandomized, so that the examples, and the time, are the same
+# in every run.
+_PLANTER_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
+
+
+@_PLANTER_SETTINGS
+@given(d=st.sampled_from((3, 4)), seed=st.integers(0, 2**16))
+def test_planted_chart_singularity_refuted_at_any_seed(d, seed):
+    _assert_refuted_at_chart_point(*plant_sa_singularity(d, seed, "chart"))
+
+
+@_PLANTER_SETTINGS
+@given(
+    stage_d=st.sampled_from(
+        # the structure planter needs three lines, so d >= 4
+        [(stage, d) for stage in PLANTED_STAGES for d in (3, 4) if (stage, d) != ("structure", 3)]
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_planted_hypothesis_failure_refuted_at_any_seed(stage_d, seed):
+    stage, d = stage_d
+    bundle = certify_witness(plant_hypothesis_failure(stage, d, seed))
+    assert (bundle.verdict, bundle.failed_stage) == ("Refuted", stage)
+    assert _PLANTED_DETAIL[stage](bundle.stages[-1].detail)
+
+
+#: Integer changes of (x, y, z), each with the inverse map on points.
+_CHANGES = {
+    "x->x+y": (X_TO_X_PLUS_Y, lambda p: (p[0] - p[1], p[1], p[2])),
+    "x<->y": ([poly("y", P2), poly("x", P2), poly("z", P2)], lambda p: (p[1], p[0], p[2])),
+}
+
+
+@pytest.mark.parametrize("change", sorted(_CHANGES))
+@pytest.mark.parametrize("d, seed", [(d, seed) for d in (3, 4) for seed in (0, 1)])
+def test_planted_chart_singularity_survives_a_change_of_coordinates(d, seed, change):
+    """The planted point [q : w] moves to [c^-1(q) : w] under a change c, read
+    in the coordinate order that the rebuilt witness's chart permutation
+    picks.  None of these eight moves it to x = 0 or w = 0, off the chart x = 1
+    (that would be a strict xfail for ROADMAP item 1A), so each stays Refuted
+    at smoothness, at the moved point."""
+    planted, point = plant_sa_singularity(d, seed, "chart")
+    forms, inverse = _CHANGES[change]
+    lines, phi2 = _changed_coordinates(planted, forms)
+    w = build_witness(d, seed, lines=lines, phi2=phi2)
+    moved = inverse(point[:3])
+    perm = constructions._chart_permutation(LineArrangement.from_lines(lines))
+    point = tuple(moved[i] for i in perm) + point[3:]
+    f = w.projective_equation
+    assert f.eval_at(point) == 0
+    assert not any(g.eval_at(point) for g in f.gradient())
+    assert point[0] != 0 and point[3] != 0
+    _assert_refuted_at_chart_point(w, point)
 
 
 def test_coprimality_oracle_sees_a_common_factor():

@@ -92,10 +92,11 @@ def test_node_family_converges_to_origin():
     previous = None
     for t in samples:
         assert abs(t) <= 10**4
-        r = verify_t1_to_node(deformation_slice(t))
+        family = deformation_slice(t)
+        r = verify_t1_to_node(family)
         assert r.kind == NODE_A1
         y = abs(r.point[0])
-        assert y == abs(r.witness["alpha"]) / 2
+        assert y == abs(family.alpha) / 2
         assert r.point[1] == r.point[2] == 0
         if previous is not None:
             assert y < previous

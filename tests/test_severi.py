@@ -35,6 +35,13 @@ def test_linear_system_dims():
     assert linear_system_dim(SystemSpec("ci4", 3, 2)) == 19
 
 
+@pytest.mark.parametrize("space, h", [("p2", None), ("p3", None), ("ci4", 2)])
+def test_monomial_count_is_the_basis_length(space, h):
+    for d in range(1 if h else 0, 9):
+        spec = SystemSpec(space, d, h)
+        assert spec.monomial_count() == len(spec.monomial_basis())
+
+
 def test_restricted_oracle_spot_values():
     fixture = poly("x**2 + y**2 + z**2 - w**2", XYZW)
     assert restricted_dim_oracle(2, 3, fixture) == 19
